@@ -70,14 +70,25 @@ def _map_ordered(fn: Callable, items: Sequence, workers: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _read_records(args) -> list[GraphRecord]:
-    if args.files:
-        text = "".join(open(path, encoding="utf-8").read() for path in args.files)
-    else:
-        text = sys.stdin.read()
-    if args.format == "edges":
+def _parse_records(text: str, fmt: str) -> list[GraphRecord]:
+    if fmt == "edges":
         return [GraphRecord(1, parse_edge_list(text), "<edge-list>")]
     return list(iter_graph6(text.splitlines()))
+
+
+def _read_records(args) -> list[GraphRecord]:
+    """Records of stdin, or of each file parsed on its own (line numbers per file)."""
+    if not args.files:
+        return _parse_records(sys.stdin.read(), args.format)
+    records = []
+    for path in args.files:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        try:
+            records.extend(_parse_records(text, args.format))
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
+    return records
 
 
 def _one_based(S: Iterable[int]) -> list[int]:

@@ -1,11 +1,9 @@
-"""Non-isomorphic graph/tree universes and the exhaustive verification drivers.
+"""Exhaustive verification drivers over the non-isomorphic graph universes.
 
-Canonical forms come from a labeling search that minimizes the upper-triangle
-adjacency bitstring column by column: at each position only vertices achieving
-the minimal next column are branched on, with global prefix pruning.  Graph
-universes grow one vertex at a time from the previous order's representatives,
-deduplicated by canonical token; trees grow by leaf attachment, deduplicated
-by a center-rooted subtree code.
+Each driver sweeps a universe from :mod:`domiperf.universe` and tallies the
+agreements of independent routes in a JSON-serializable report.  Canonical
+forms come from :mod:`domiperf.canon` (individualization and refinement);
+both modules' public names are re-exported here.
 """
 
 from __future__ import annotations
@@ -13,10 +11,10 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterator
 
-from domiperf.graph import Graph, GraphError, bits, build_graph
+from domiperf.canon import MAX_CANONICAL_ORDER, CanonicalForm, canonical_form, canonical_graph
 from domiperf.formats import emit_graph6
+from domiperf.graph import GraphError
 from domiperf.graph_classes import (
     block_graph_corollary,
     chordal_corollary,
@@ -39,17 +37,16 @@ from domiperf.perfection import (
     perfect_by_gamma2,
     perfect_by_theorem,
 )
+from domiperf.universe import MAX_ENUM_ORDER, MAX_TREE_ORDER, enumerate_graphs, enumerate_up_to
 
-MAX_ENUM_ORDER = 8
-MAX_TREE_ORDER = 12
-MAX_CANONICAL_ORDER = 10
+__all__ = [
+    "COUNTEREXAMPLE_CAP", "MAX_CANONICAL_ORDER", "MAX_ENUM_ORDER", "MAX_TREE_ORDER",
+    "CanonicalForm", "VerificationReport", "canonical_form", "canonical_graph",
+    "enumerate_graphs", "enumerate_up_to", "verify_chain", "verify_corollaries",
+    "verify_theorem",
+]
+
 COUNTEREXAMPLE_CAP = 100
-
-
-@dataclass(frozen=True)
-class CanonicalForm:
-    order: int
-    token: str
 
 
 @dataclass
@@ -81,180 +78,6 @@ class VerificationReport:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-# -- canonical labeling -----------------------------------------------------
-
-def _min_labeling(G: Graph) -> list[int]:
-    """Vertex order whose relabeling minimizes the triangle bitstring."""
-    n = G.n
-    if n <= 1:
-        return list(range(n))
-    adj = G.adj
-    best_cols: list[int] | None = None
-    best_map: list[int] | None = None
-    mapping: list[int] = []
-    cols: list[int] = []
-
-    def rec(vals: dict[int, int]) -> None:
-        # vals: next column value for each unused vertex, w.r.t. the current
-        # mapping prefix; earlier rows are higher bits
-        nonlocal best_cols, best_map
-        q = len(mapping)
-        if not vals:
-            if best_cols is None or cols < best_cols:
-                best_cols = cols.copy()
-                best_map = mapping.copy()
-            return
-        cmin = min(vals.values())
-        if best_cols is not None:
-            prefix = best_cols[: q - 1]
-            if cols > prefix or (cols == prefix and cmin > best_cols[q - 1]):
-                return
-        cols.append(cmin)
-        for u in sorted(w for w, c in vals.items() if c == cmin):
-            mapping.append(u)
-            rec({w: (c << 1) | (adj[w] >> u & 1) for w, c in vals.items() if w != u})
-            mapping.pop()
-        cols.pop()
-
-    for first in range(n):
-        mapping.append(first)
-        rec({w: adj[w] >> first & 1 for w in range(n) if w != first})
-        mapping.pop()
-    assert best_map is not None
-    return best_map
-
-
-def _relabel(G: Graph, order: list[int]) -> Graph:
-    index = {v: i for i, v in enumerate(order)}
-    rows = [0] * G.n
-    for v in range(G.n):
-        for u in bits(G.adj[v]):
-            rows[index[v]] |= 1 << index[u]
-    return Graph(G.n, tuple(rows))
-
-
-def canonical_graph(G: Graph, max_order: int = MAX_CANONICAL_ORDER) -> Graph:
-    if G.n > max_order:
-        raise GraphError(f"canonical labeling capped at order {max_order}")
-    return _relabel(G, _min_labeling(G))
-
-
-def canonical_form(G: Graph, max_order: int = MAX_CANONICAL_ORDER) -> CanonicalForm:
-    """Isomorphism-invariant token: graph6 of the minimum labeling."""
-    return CanonicalForm(G.n, emit_graph6(canonical_graph(G, max_order)))
-
-
-# -- universes --------------------------------------------------------------
-
-_UNIVERSE_CACHE: dict[int, list[Graph]] = {}
-_TREE_CACHE: dict[int, list[Graph]] = {}
-
-_FILTERS: dict[str, Callable[[Graph], bool]] = {
-    "connected": Graph.is_connected,
-    "tree": Graph.is_tree,
-    "chordal": is_chordal,
-    "block-graph": is_block_graph,
-    "claw-free": is_claw_free,
-}
-
-
-def _all_graphs(order: int) -> list[Graph]:
-    if order in _UNIVERSE_CACHE:
-        return _UNIVERSE_CACHE[order]
-    if order == 1:
-        level = {emit_graph6(build_graph(1, [])): build_graph(1, [])}
-    else:
-        prev = _all_graphs(order - 1)
-        k = order - 1
-        level = {}
-        for parent in prev:
-            for nbmask in range(1 << k):
-                rows = [
-                    parent.adj[v] | ((nbmask >> v & 1) << k) for v in range(k)
-                ]
-                rows.append(nbmask)
-                child = Graph(order, tuple(rows))
-                token = emit_graph6(_relabel(child, _min_labeling(child)))
-                if token not in level:
-                    level[token] = child
-        level = dict(sorted(level.items()))
-    out = list(level.values())
-    _UNIVERSE_CACHE[order] = out
-    return out
-
-
-def _tree_code(G: Graph) -> str:
-    """Rooted-subtree code minimized over the tree's one or two centers."""
-    if G.n == 1:
-        return "()"
-
-    def peel_centers() -> list[int]:
-        degrees = [G.degree(v) for v in range(G.n)]
-        alive = set(range(G.n))
-        leaves = [v for v in alive if degrees[v] <= 1]
-        while len(alive) > 2:
-            nxt = []
-            for v in leaves:
-                alive.discard(v)
-                for u in bits(G.adj[v]):
-                    if u in alive:
-                        degrees[u] -= 1
-                        if degrees[u] == 1:
-                            nxt.append(u)
-            leaves = nxt
-        return sorted(alive)
-
-    def rooted(v: int, parent: int) -> str:
-        subs = sorted(rooted(u, v) for u in bits(G.adj[v]) if u != parent)
-        return "(" + "".join(subs) + ")"
-
-    return min(rooted(c, -1) for c in peel_centers())
-
-
-def _all_trees(order: int) -> list[Graph]:
-    if order in _TREE_CACHE:
-        return _TREE_CACHE[order]
-    if order == 1:
-        out = [build_graph(1, [])]
-    else:
-        out = []
-        seen = set()
-        for parent in _all_trees(order - 1):
-            k = order - 1
-            for v in range(k):
-                child = build_graph(order, parent.edges() + [(v, k)])
-                code = _tree_code(child)
-                if code not in seen:
-                    seen.add(code)
-                    out.append(child)
-    _TREE_CACHE[order] = out
-    return out
-
-
-def enumerate_graphs(
-    order: int, filter: str | Callable[[Graph], bool] | None = None
-) -> Iterator[Graph]:
-    """One representative per isomorphism class at the given order."""
-    if order < 1:
-        raise GraphError("enumeration starts at order 1")
-    predicate = _FILTERS[filter] if isinstance(filter, str) else filter
-    if filter == "tree":
-        if order > MAX_TREE_ORDER:
-            raise GraphError(f"tree enumeration capped at order {MAX_TREE_ORDER}")
-        yield from _all_trees(order)
-        return
-    if order > MAX_ENUM_ORDER:
-        raise GraphError(f"full enumeration capped at order {MAX_ENUM_ORDER}")
-    for G in _all_graphs(order):
-        if predicate is None or predicate(G):
-            yield G
-
-
-def enumerate_up_to(order_max: int, filter=None) -> Iterator[Graph]:
-    for order in range(1, order_max + 1):
-        yield from enumerate_graphs(order, filter)
-
-
 # -- verification drivers ---------------------------------------------------
 
 def verify_theorem(order_max: int) -> VerificationReport:
@@ -279,7 +102,7 @@ def verify_theorem(order_max: int) -> VerificationReport:
                 "theorem": vt.perfect,
             }
         report.record(ok, detail)
-        if not vd.perfect and is_minimal_imperfect(G):
+        if not vd.perfect and is_minimal_imperfect(G, tables=tables):
             minimal_tokens.append(canonical_form(G).token)
     report.notes.append(
         f"minimal imperfect graphs found: {len(minimal_tokens)}"

@@ -12,8 +12,13 @@ import enum
 from dataclasses import dataclass
 
 from domiperf.graph import Graph, GraphError, bits, build_graph
-from domiperf.patterns import contains_subgraph, is_claw_free, is_pattern_free, pattern_by_name
-from domiperf.perfection import perfect_by_theorem
+from domiperf.patterns import (
+    contains_subgraph,
+    forbidden_free,
+    is_claw_free,
+    is_pattern_free,
+    pattern_by_name,
+)
 
 CHORDAL_FORBIDDEN = ("H1", "H7", "H8")
 CLAW_FREE_FORBIDDEN = ("H7", "H8", "H9")
@@ -98,7 +103,7 @@ def tree_corollary_conditions(G: Graph) -> tuple[bool, bool, bool, bool]:
     """The four equivalent statements of the tree characterization."""
     if not G.is_tree():
         raise GraphError("tree corollary expects a tree")
-    c1 = perfect_by_theorem(G).perfect
+    c1 = forbidden_free(G)[0]
     c2 = is_pattern_free(G, TREE_FORBIDDEN)
     c3 = G.diameter() <= 4 and sum(1 for v in range(G.n) if G.degree(v) >= 3) <= 1
     c4 = classify_tree(G) is not TreeClass.OTHER

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import permutations
 
-from domiperf.graph import Graph, build_graph
+from domiperf.canon import canonical_form
+from domiperf.graph import Graph, GraphError, build_graph
 
 
 @dataclass(frozen=True)
@@ -77,17 +77,6 @@ _UTILITY_EDGES: dict[str, tuple[int, tuple[tuple[int, int], ...]]] = {
 FORBIDDEN_NAMES = tuple(f"H{k}" for k in range(1, 11))
 
 
-def _isomorphic_small(a: Graph, b: Graph) -> bool:
-    # exhaustive label search; catalog graphs only (order <= 8)
-    if a.n != b.n or a.m != b.m or a.degree_sequence() != b.degree_sequence():
-        return False
-    for perm in permutations(range(a.n)):
-        if all(b.adj[perm[v]] == sum(1 << perm[u] for u in range(a.n) if a.adj[v] >> u & 1)
-               for v in range(a.n)):
-            return True
-    return False
-
-
 @cache
 def catalog() -> tuple[Pattern, ...]:
     """All named patterns; the forbidden ten come first, in order."""
@@ -95,9 +84,9 @@ def catalog() -> tuple[Pattern, ...]:
     pats.extend(Pattern(name, order, edges) for name, (order, edges) in _UTILITY_EDGES.items())
     by_name = {p.name: p for p in pats}
     # the catalog identities the class-restricted criteria rely on
-    assert _isomorphic_small(by_name["H7"].graph(), by_name["TWO_P3"].graph())
-    assert _isomorphic_small(by_name["H8"].graph(), by_name["P6"].graph())
-    assert _isomorphic_small(by_name["H9"].graph(), by_name["C6"].graph())
+    for a, b in (("H7", "TWO_P3"), ("H8", "P6"), ("H9", "C6")):
+        if canonical_form(by_name[a].graph()) != canonical_form(by_name[b].graph()):
+            raise GraphError(f"catalog graph {a} is not isomorphic to {b}")
     return tuple(pats)
 
 

@@ -12,8 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from domiperf.canon import canonical_graph
 from domiperf.graph import Graph, GraphError, mask_of, set_of
 from domiperf.patterns import Embedding, Pattern, forbidden_free
+from domiperf.universe import MAX_ENUM_ORDER, enumerate_graphs
 
 DEFAULT_CAP = 16
 
@@ -142,11 +144,13 @@ def perfect_by_theorem(G: Graph) -> PerfectionVerdict:
     return PerfectionVerdict(free, "theorem", witness)
 
 
-def is_minimal_imperfect(G: Graph, cap: int = DEFAULT_CAP) -> bool:
+def is_minimal_imperfect(
+    G: Graph, cap: int = DEFAULT_CAP, tables: SubgraphTables | None = None
+) -> bool:
     """gamma < alpha_c on G itself, equality on every proper induced subgraph."""
     if G.n == 0:
         raise GraphError("perfection undefined on the empty graph")
-    t = SubgraphTables(G, cap)
+    t = tables if tables is not None else SubgraphTables(G, cap)
     full = G.vertex_mask
     if t.gamma[full] >= t.common_ind(full):
         return False
@@ -157,23 +161,7 @@ def is_minimal_imperfect(G: Graph, cap: int = DEFAULT_CAP) -> bool:
 
 
 def search_minimal_imperfect(order: int) -> list[Graph]:
-    """All non-isomorphic minimal imperfect graphs of the given order."""
-    from domiperf.enumeration import canonical_graph, enumerate_graphs
-
-    if order > 8:
-        raise GraphError("minimal-imperfect search capped at order 8")
-    found = []
-    for G in enumerate_graphs(order):
-        t = SubgraphTables(G)
-        full = G.vertex_mask
-        if t.gamma[full] >= t.common_ind(full):
-            continue
-        # quick hereditary filter: every vertex-deleted subgraph must be perfect
-        if any(
-            not perfect_by_definition(G.induced_mask(full & ~(1 << v))).perfect
-            for v in range(G.n)
-        ):
-            continue
-        if is_minimal_imperfect(G):
-            found.append(canonical_graph(G))
-    return found
+    """All non-isomorphic minimal imperfect graphs of the given order, canonically labeled."""
+    if order > MAX_ENUM_ORDER:
+        raise GraphError(f"minimal-imperfect search capped at order {MAX_ENUM_ORDER}")
+    return [canonical_graph(G) for G in enumerate_graphs(order) if is_minimal_imperfect(G)]

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from conftest import pattern_graph
+from domiperf.canon import canonical_form
 from domiperf.cli import main
 from domiperf.formats import emit_graph6, parse_graph6
 from domiperf.graph import complete_graph, cycle_graph, path_graph
@@ -96,7 +98,7 @@ def test_search_minimal(capsys):
     assert code == 0
     tokens = out.split()
     assert len(tokens) == 10
-    assert all(parse_graph6(tok).n == 6 for tok in tokens)
+    assert set(tokens) == {canonical_form(pattern_graph(f"H{k}")).token for k in range(1, 11)}
 
 
 def test_construct_pipeline(tmp_path, capsys):
@@ -125,6 +127,35 @@ def test_parse_error_exits_two(tmp_path, capsys):
     code, _, err = _run(capsys, ["compute", str(src)])
     assert code == 2
     assert "domiperf:" in err
+
+
+def test_graph6_files_are_not_glued(tmp_path, capsys):
+    # a truncated last token must not fuse with the next file's first token
+    first, second = tmp_path / "a.g6", tmp_path / "b.g6"
+    first.write_text("A")
+    second.write_text("_")
+    code, out, err = _run(capsys, ["compute", str(first), str(second)])
+    assert code == 2 and out == ""
+    assert "a.g6" in err
+
+
+def test_graph6_parse_error_names_file_and_line(tmp_path, capsys):
+    good, bad = tmp_path / "good.g6", tmp_path / "bad.g6"
+    good.write_text("@\n")
+    bad.write_text("@\nE?\n")
+    code, _, err = _run(capsys, ["compute", str(good), str(bad)])
+    assert code == 2
+    assert f"{bad}: line 2:" in err
+
+
+def test_edge_list_one_graph_per_file(tmp_path, capsys):
+    first, second = tmp_path / "p3.edges", tmp_path / "k3.edges"
+    first.write_text("3\n1 2\n2 3\n")
+    second.write_text("3\n1 2\n2 3\n1 3\n")
+    code, out, _ = _run(capsys, ["compute", "--format", "edges", str(first), str(second)])
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [(r["n"], r["m"], r["gamma"]) for r in records] == [(3, 2, 1), (3, 3, 1)]
 
 
 def test_missing_file_exits_two(capsys):

@@ -38,17 +38,41 @@ def test_canonical_cap():
         canonical_form(build_graph(11, []))
 
 
+def _symmetric_graphs():
+    yield complete_graph(10)
+    yield build_graph(10, [])
+    yield cycle_graph(10)
+    yield build_graph(10, [(u, v) for u in range(5) for v in range(5, 10)])  # K5,5
+    petersen = [(i, (i + 1) % 5) for i in range(5)]
+    petersen += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    petersen += [(i, i + 5) for i in range(5)]
+    yield build_graph(10, petersen)
+
+
 def test_canonical_invariance_random_relabelings():
     rng = random.Random(7)
-    for _ in range(40):
-        n = rng.randint(1, 6)
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+    cases = []
+    for _ in range(60):
+        n = rng.randint(1, 10)
+        p = rng.choice((0.2, 0.5, 0.8))
+        cases.append((n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]))
+    cases += [(g.n, g.edges()) for g in _symmetric_graphs()]
+    for n, edges in cases:
         base = canonical_form(build_graph(n, edges)).token
         for _ in range(6):
             perm = list(range(n))
             rng.shuffle(perm)
             g2 = build_graph(n, [(perm[u], perm[v]) for u, v in edges])
             assert canonical_form(g2).token == base
+            assert canonical_form(canonical_graph(g2)).token == base
+
+
+def test_canonical_separates_symmetric_graphs():
+    tokens = {canonical_form(g).token for g in _symmetric_graphs()}
+    assert len(tokens) == 5
+    # same order, same degree sequence, not isomorphic: C6 and two triangles
+    two_triangles = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    assert canonical_form(cycle_graph(6)) != canonical_form(two_triangles)
 
 
 def test_canonical_graph_round_trips():
@@ -71,6 +95,28 @@ def test_graph_counts_against_labeled_dedup_oracle():
             g = build_graph(n, [pairs[i] for i in range(len(pairs)) if bitsel >> i & 1])
             tokens.add(canonical_form(g).token)
         assert len(tokens) == SMALL_COUNTS[n]
+
+
+@pytest.mark.filterwarnings("ignore:The hashes produced:UserWarning")
+def test_universe_matches_networkx_atlas():
+    # independent oracle: networkx's atlas of every graph on at most 7 vertices,
+    # matched one to one by WL-hash buckets and networkx isomorphism
+    nx = pytest.importorskip("networkx")
+    buckets = {}
+    for h in nx.graph_atlas_g():
+        if h.number_of_nodes():
+            key = (h.number_of_nodes(), nx.weisfeiler_lehman_graph_hash(h))
+            buckets.setdefault(key, []).append(h)
+    for k in range(1, 8):
+        for g in enumerate_graphs(k):
+            h = nx.Graph()
+            h.add_nodes_from(range(k))
+            h.add_edges_from(g.edges())
+            bucket = buckets[(k, nx.weisfeiler_lehman_graph_hash(h))]
+            matches = [i for i, a in enumerate(bucket) if nx.is_isomorphic(a, h)]
+            assert len(matches) == 1
+            bucket.pop(matches[0])
+    assert not any(buckets.values())
 
 
 def test_no_duplicate_canonical_tokens():

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
+import domiperf
 from conftest import graphs, pattern_graph
 from domiperf.graph import build_graph, complete_graph, cycle_graph, path_graph, star_graph
 from domiperf.graph_classes import corona_k1
@@ -130,3 +135,20 @@ def test_embedding_check_rejects_bad_maps():
     assert not Embedding((0, 0, 1), "induced").check(path_graph(3), pat)
     assert not Embedding((0, 2, 1), "induced").check(path_graph(3), pat)
     assert Embedding((0, 1, 2), "induced").check(path_graph(3), pat)
+
+
+def test_catalog_identities_are_checked_under_optimize():
+    # python -O strips assert statements; a corrupted H8 (a spider, not P6)
+    # must still be refused
+    script = (
+        "import domiperf.patterns as p\n"
+        "p._H_EDGES['H8'] = ((1, 3), (3, 5), (2, 4), (4, 6), (1, 4))\n"
+        "p.catalog()\n"
+    )
+    src = str(Path(domiperf.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode != 0
+    assert "GraphError: catalog graph H8 is not isomorphic to P6" in proc.stderr

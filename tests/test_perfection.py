@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from conftest import graphs, pattern_graph
 from domiperf.graph import GraphError, build_graph, complete_graph, cycle_graph, path_graph
 from domiperf.perfection import (
+    SubgraphTables,
     SubsetWitness,
     is_minimal_imperfect,
     perfect_by_definition,
@@ -62,6 +63,11 @@ def test_minimality_of_catalog():
         assert is_minimal_imperfect(pattern_graph(f"H{k}"))
     assert not is_minimal_imperfect(complete_graph(6))
     assert not is_minimal_imperfect(path_graph(5))
+
+
+def test_minimality_reuses_given_tables():
+    for g in (pattern_graph("H3"), complete_graph(6), path_graph(5), cycle_graph(5)):
+        assert is_minimal_imperfect(g, tables=SubgraphTables(g)) == is_minimal_imperfect(g)
 
 
 def test_search_minimal_small_orders():
