@@ -1,8 +1,9 @@
 """graph6 parsing/emission plus an edge-list format and DOT export.
 
-Only the short-form graph6 header is handled (n <= 62); the enumeration
-universes never exceed it.  The edge-list format is 1-based: first line "n",
-then one "u v" pair per line.
+graph6 covers every order a ``Graph`` allows (n <= 64): the one-byte
+short-form header up to n = 62, the long form ("~" and three bytes) for
+n = 63 and 64.  The edge-list format is 1-based: first line "n", then one
+"u v" pair per line.
 """
 
 from __future__ import annotations
@@ -10,10 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from domiperf.graph import Graph, GraphError, build_graph
+from domiperf.graph import MAX_ORDER, Graph, GraphError, build_graph
 
 _OFFSET = 63
-_MAX_GRAPH6_ORDER = 62
+_MAX_SHORT_ORDER = 62
+_LONG_HEADER = "~"
 
 
 class FormatError(ValueError):
@@ -50,16 +52,27 @@ def parse_graph6(text: str) -> Graph:
         code = ord(ch)
         if not _OFFSET <= code <= 126:
             raise FormatError(f"byte {code!r} outside printable graph6 range 63..126", off)
-    n = ord(text[0]) - _OFFSET
-    if n > _MAX_GRAPH6_ORDER:
-        raise FormatError(f"length byte encodes n={n} > {_MAX_GRAPH6_ORDER}", 0)
+    if text[0] != _LONG_HEADER:
+        n, head = ord(text[0]) - _OFFSET, 1
+    else:
+        if text[1:2] == _LONG_HEADER:
+            raise FormatError(f"eight-byte header: order above {MAX_ORDER}", 0)
+        if len(text) < 4:
+            raise FormatError("truncated long-form header", len(text))
+        n, head = 0, 4
+        for ch in text[1:4]:
+            n = (n << 6) | (ord(ch) - _OFFSET)
+        if n > MAX_ORDER:
+            raise FormatError(f"header encodes n={n} > {MAX_ORDER}", 0)
+        if n <= _MAX_SHORT_ORDER:
+            raise FormatError(f"long-form header for n={n}, which has a short form", 0)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
-    body = text[1:]
+    body = text[head:]
     if len(body) < nbytes:
         raise FormatError(f"truncated body: need {nbytes} bytes, got {len(body)}", len(text))
     if len(body) > nbytes:
-        raise FormatError("trailing bytes after adjacency body", 1 + nbytes)
+        raise FormatError("trailing bytes after adjacency body", head + nbytes)
     bitstream = 0
     for ch in body:
         bitstream = (bitstream << 6) | (ord(ch) - _OFFSET)
@@ -76,8 +89,6 @@ def parse_graph6(text: str) -> Graph:
 
 def emit_graph6(G: Graph) -> str:
     """Encode a graph as a graph6 token preserving its labeling exactly."""
-    if G.n > _MAX_GRAPH6_ORDER:
-        raise GraphError(f"graph6 short form supports n <= {_MAX_GRAPH6_ORDER}")
     n = G.n
     nbits = n * (n - 1) // 2
     bitstream = 0
@@ -86,7 +97,10 @@ def emit_graph6(G: Graph) -> str:
     pad = (6 - nbits % 6) % 6
     bitstream <<= pad
     nbytes = (nbits + 5) // 6
-    out = [chr(_OFFSET + n)]
+    if n <= _MAX_SHORT_ORDER:
+        out = [chr(_OFFSET + n)]
+    else:
+        out = [_LONG_HEADER] + [chr(_OFFSET + (n >> s & 0x3F)) for s in (12, 6, 0)]
     for k in range(nbytes - 1, -1, -1):
         out.append(chr(_OFFSET + (bitstream >> (6 * k) & 0x3F)))
     return "".join(out)

@@ -3,8 +3,16 @@
 Minimum dominating / independent dominating sets come from an
 increasing-cardinality search (greedy upper bound, coverage pruning) that
 visits candidate sets in lexicographic order, so the reported witness is the
-lexicographically smallest optimal set.  Maximum independent sets come from
-branch and bound on a max-degree vertex with memoization over bitmasks.
+lexicographically smallest optimal set.  The search starts at the larger of
+ceil(n / (Delta + 1)) and the size of a greedy 2-packing (vertices pairwise at
+distance >= 3 need distinct dominators), which bounds both gamma and i.
+
+Maximum independent sets come from a memoized search over vertex bitmasks
+with the reductions of Tarjan & Trojanowski (1977): a disconnected mask is
+the sum of its components, a vertex of degree 0 or 1 is taken without
+branching, and only then does the search branch on a max-degree vertex.
+``parameter_profile`` runs alpha, its lexicographic witness walk and the
+per-vertex alpha_c values on one shared memo.
 
 The ``brute_*`` functions are deliberately naive 2^n enumerations kept as
 independent oracles for the solvers; do not "optimize" them.
@@ -34,12 +42,32 @@ class ParameterProfile:
 # -- maximum independent set ------------------------------------------------
 
 def _alpha_mask(adj: tuple[int, ...], closed: list[int], mask: int, memo: dict) -> int:
-    """Independence number of the subgraph induced by ``mask``."""
+    """Independence number of the subgraph induced by ``mask``.
+
+    A disconnected mask is the sum of its components.  In a connected mask a
+    vertex of degree at most 1 lies in some maximum independent set, so it is
+    taken without branching; otherwise the search branches on a vertex of
+    maximum degree (take it, or delete it).
+    """
     if mask == 0:
         return 0
     cached = memo.get(mask)
     if cached is not None:
         return cached
+    # the component of the lowest vertex in mask
+    comp = frontier = mask & -mask
+    while frontier:
+        reach = 0
+        while frontier:
+            b = frontier & -frontier
+            frontier ^= b
+            reach |= adj[b.bit_length() - 1]
+        frontier = reach & mask & ~comp
+        comp |= frontier
+    if comp != mask:
+        res = _alpha_mask(adj, closed, comp, memo) + _alpha_mask(adj, closed, mask & ~comp, memo)
+        memo[mask] = res
+        return res
     best_v, best_d = -1, -1
     m = mask
     while m:
@@ -47,24 +75,25 @@ def _alpha_mask(adj: tuple[int, ...], closed: list[int], mask: int, memo: dict) 
         m ^= b
         v = b.bit_length() - 1
         d = (adj[v] & mask).bit_count()
+        if d <= 1:
+            best_v, best_d = v, d
+            break
         if d > best_d:
             best_d, best_v = d, v
-    if best_d == 0:
-        res = mask.bit_count()
-    else:
-        v = best_v
-        res = max(
-            1 + _alpha_mask(adj, closed, mask & ~closed[v], memo),
-            _alpha_mask(adj, closed, mask & ~(1 << v), memo),
-        )
+    v = best_v
+    res = 1 + _alpha_mask(adj, closed, mask & ~closed[v], memo)
+    if best_d > 1:
+        res = max(res, _alpha_mask(adj, closed, mask & ~(1 << v), memo))
     memo[mask] = res
     return res
 
 
-def independence_number(G: Graph) -> tuple[int, frozenset[int]]:
-    """alpha(G) with the lexicographically smallest maximum independent set."""
-    closed = G.closed_masks()
-    memo: dict[int, int] = {}
+def _lex_max_independent(G: Graph, closed: list[int], memo: dict) -> tuple[int, frozenset[int]]:
+    """alpha(G) and its lexicographically smallest maximum independent set.
+
+    Walks the vertices in order and keeps v iff some maximum independent set
+    extends the chosen ones by v.
+    """
     total = _alpha_mask(G.adj, closed, G.vertex_mask, memo)
     chosen = []
     allowed = G.vertex_mask
@@ -76,6 +105,17 @@ def independence_number(G: Graph) -> tuple[int, frozenset[int]]:
             chosen.append(v)
             allowed = rest
     return total, frozenset(chosen)
+
+
+def _alpha_through_each_vertex(G: Graph, closed: list[int], memo: dict) -> tuple[int, ...]:
+    """Largest independent set containing v, for every vertex v: 1 + alpha(G - N[v])."""
+    full = G.vertex_mask
+    return tuple(1 + _alpha_mask(G.adj, closed, full & ~closed[v], memo) for v in range(G.n))
+
+
+def independence_number(G: Graph) -> tuple[int, frozenset[int]]:
+    """alpha(G) with the lexicographically smallest maximum independent set."""
+    return _lex_max_independent(G, G.closed_masks(), {})
 
 
 def max_independent_with(G: Graph, v: int) -> int:
@@ -91,12 +131,7 @@ def common_independence_number(G: Graph) -> int:
     """Minimum over vertices of the largest independent set containing each."""
     if G.n == 0:
         raise GraphError("common independence number undefined on the empty graph")
-    closed = G.closed_masks()
-    memo: dict[int, int] = {}
-    full = G.vertex_mask
-    return min(
-        1 + _alpha_mask(G.adj, closed, full & ~closed[v], memo) for v in range(G.n)
-    )
+    return min(_alpha_through_each_vertex(G, G.closed_masks(), {}))
 
 
 # -- minimum (independent) dominating set -----------------------------------
@@ -161,11 +196,28 @@ def _lex_dominating(G: Graph, k: int, independent: bool) -> list[int] | None:
     return list(chosen) if rec(0, 0, 0) else None
 
 
+def _packing_bound(G: Graph) -> int:
+    """Size of a greedy 2-packing, taken in ascending degree order.
+
+    Vertices pairwise at distance >= 3 have disjoint closed neighborhoods, so
+    each needs a dominator of its own: a lower bound on gamma and on i.
+    """
+    closed = G.closed_masks()
+    blocked = 0
+    size = 0
+    for v in sorted(range(G.n), key=G.degree):
+        if not blocked >> v & 1:
+            size += 1
+            for u in bits(closed[v]):
+                blocked |= closed[u]
+    return size
+
+
 def _minimum_dominating(G: Graph, independent: bool) -> tuple[int, frozenset[int]]:
     if G.n == 0:
         raise GraphError("domination undefined on the empty graph")
     maxdeg = max(G.degree(v) for v in range(G.n))
-    lb = -(-G.n // (maxdeg + 1))
+    lb = max(-(-G.n // (maxdeg + 1)), _packing_bound(G))
     ub = _greedy_maximal_independent_size(G) if independent else _greedy_cover_size(G)
     for k in range(lb, ub + 1):
         found = _lex_dominating(G, k, independent)
@@ -201,13 +253,10 @@ def parameter_profile(G: Graph) -> ParameterProfile:
         raise GraphError("parameter profile undefined on the empty graph")
     gamma, wg = domination_number(G)
     ind_dom, wi = independent_domination_number(G)
-    alpha, wa = independence_number(G)
     closed = G.closed_masks()
     memo: dict[int, int] = {}
-    full = G.vertex_mask
-    per_vertex = tuple(
-        1 + _alpha_mask(G.adj, closed, full & ~closed[v], memo) for v in range(G.n)
-    )
+    alpha, wa = _lex_max_independent(G, closed, memo)
+    per_vertex = _alpha_through_each_vertex(G, closed, memo)
     common = min(per_vertex)
     if not gamma <= ind_dom <= common <= alpha:
         raise AssertionError(

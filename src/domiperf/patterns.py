@@ -22,7 +22,9 @@ class Pattern:
     order: int
     edges: tuple[tuple[int, int], ...]
 
+    @cache
     def graph(self) -> Graph:
+        """The pattern on vertices 0..order-1, built once per catalog pattern."""
         return build_graph(self.order, [(u - 1, v - 1) for u, v in self.edges])
 
 

@@ -17,3 +17,28 @@ def graphs(draw, min_n=0, max_n=8):
 
 def pattern_graph(name: str) -> Graph:
     return pattern_by_name(name).graph()
+
+
+@st.composite
+def forests_and_cycles(draw, max_n=14):
+    """Disjoint union of random trees, cycles and isolated vertices, randomly relabeled.
+
+    At most ``max_n`` vertices and at least one; the relabeling interleaves the
+    components in vertex order.
+    """
+    edges: list[tuple[int, int]] = []
+    n = 0
+    while n == 0 or (n < max_n and draw(st.booleans())):
+        kind = draw(st.sampled_from(("tree", "cycle", "isolated")))
+        room = max_n - n
+        if kind == "cycle" and room >= 3:
+            k = draw(st.integers(3, room))
+            edges.extend((n + i, n + (i + 1) % k) for i in range(k))
+        elif kind == "tree":
+            k = draw(st.integers(1, room))
+            edges.extend((n + draw(st.integers(0, i - 1)), n + i) for i in range(1, k))
+        else:
+            k = 1
+        n += k
+    perm = draw(st.permutations(range(n)))
+    return build_graph(n, [(perm[u], perm[v]) for u, v in edges])

@@ -7,6 +7,7 @@ from domiperf.canon import canonical_form
 from domiperf.cli import main
 from domiperf.formats import emit_graph6, parse_graph6
 from domiperf.graph import complete_graph, cycle_graph, path_graph
+from domiperf.graph_classes import corona_k1
 
 
 @pytest.fixture(autouse=True)
@@ -110,6 +111,27 @@ def test_construct_pipeline(tmp_path, capsys):
     code, out, _ = _run(capsys, ["construct", "--construction", "corona", str(src)])
     assert code == 0
     assert parse_graph6(out.strip()).n == 6
+
+
+def test_construct_corona_up_to_order_64(tmp_path, capsys):
+    # coronas of P31 and P32 have 62 and 64 vertices; the second needs the
+    # graph6 long form
+    src = tmp_path / "in.g6"
+    src.write_text("".join(emit_graph6(path_graph(n)) + "\n" for n in (31, 32)))
+    code, out, err = _run(capsys, ["construct", "--construction", "corona", str(src)])
+    assert (code, err) == (0, "")
+    tokens = out.split()
+    assert [parse_graph6(t) for t in tokens] == [corona_k1(path_graph(n)) for n in (31, 32)]
+    assert tokens[1].startswith("~")
+
+
+def test_compute_cycle_40(tmp_path, capsys):
+    src = tmp_path / "in.g6"
+    src.write_text(emit_graph6(cycle_graph(40)) + "\n")
+    code, out, _ = _run(capsys, ["compute", str(src)])
+    assert code == 0
+    rec = json.loads(out)
+    assert (rec["n"], rec["gamma"], rec["i"], rec["alpha_c"], rec["alpha"]) == (40, 14, 14, 20, 20)
 
 
 def test_output_file(tmp_path, capsys):

@@ -32,16 +32,24 @@ def test_empty_graph_bodies_are_all_63():
     assert emit_graph6(build_graph(5, [])) == "D??"
 
 
+def _long_header(n):
+    return "~" + "".join(chr(63 + (n >> s & 0x3F)) for s in (12, 6, 0))
+
+
 @pytest.mark.parametrize(
     "token",
     [
         "",                       # no length byte
         "\x1f",                   # non-printable length byte
-        chr(63 + 63),             # n = 63 unsupported
+        chr(63 + 63),             # "~": long-form header cut short
         "E?~",                    # truncated body
         "E?~oo",                  # trailing bytes
         chr(63 + 3) + chr(63 + 1),  # nonzero padding for n=3
         "E?" + chr(40) + "o",     # non-printable body byte
+        "~?",                     # long-form header cut short
+        pytest.param(_long_header(62) + "?" * 316, id="long-form-n62"),  # has a short form
+        pytest.param(_long_header(63) + "?" * 325, id="long-form-truncated"),  # needs 326
+        pytest.param(_long_header(64) + "?" * 337, id="long-form-trailing"),  # needs 336
     ],
 )
 def test_parse_errors(token):
@@ -49,9 +57,46 @@ def test_parse_errors(token):
         parse_graph6(token)
 
 
-def test_emit_rejects_large_graphs():
+def _sparse_graph(n):
+    # a spanning path plus every chord (i, i + 7): irregular bits in every byte
+    edges = [(i, i + 1) for i in range(n - 1)] + [(i, i + 7) for i in range(n - 7)]
+    return build_graph(n, edges)
+
+
+@pytest.mark.parametrize("n", [62, 63, 64])
+def test_graph6_order_boundary(n):
+    # short form through 62, "~" and three bytes from 63 on
+    header = _long_header(n) if n > 62 else chr(63 + n)
+    nbytes = (n * (n - 1) // 2 + 5) // 6
+    assert emit_graph6(build_graph(n, [])) == header + "?" * nbytes
+    g = _sparse_graph(n)
+    token = emit_graph6(g)
+    assert token.startswith(header) and len(token) == len(header) + nbytes
+    assert parse_graph6(token) == g
+    assert emit_graph6(parse_graph6(token)) == token
+
+
+def test_orders_above_64_are_rejected():
     with pytest.raises(GraphError):
-        emit_graph6(build_graph(63, []))
+        build_graph(65, [])
+    body = "?" * ((65 * 64 // 2 + 5) // 6)
+    with pytest.raises(FormatError, match="n=65"):
+        parse_graph6(_long_header(65) + body)
+    with pytest.raises(FormatError, match="eight-byte"):
+        parse_graph6("~~" + "?" * 6)
+
+
+def test_long_form_matches_networkx():
+    # independent oracle: networkx's graph6 codec at orders 63 and 64
+    nx = pytest.importorskip("networkx")
+    for n in (63, 64):
+        g = _sparse_graph(n)
+        h = nx.Graph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from(g.edges())
+        assert emit_graph6(g) == nx.to_graph6_bytes(h, header=False).decode().strip()
+        back = nx.from_graph6_bytes(emit_graph6(g).encode())
+        assert sorted(tuple(sorted(e)) for e in back.edges()) == g.edges()
 
 
 @given(graphs(max_n=8))

@@ -1,7 +1,9 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 
-from conftest import graphs, pattern_graph
+from conftest import forests_and_cycles, graphs, pattern_graph
 from domiperf.graph import (
     GraphError,
     build_graph,
@@ -117,13 +119,51 @@ def test_alpha_vertex_deletion_monotone(g):
         assert independence_number(sub)[0] in (alpha - 1, alpha)
 
 
+def _first_set(g, size, predicate):
+    """The lexicographically smallest vertex set of ``size`` satisfying ``predicate``."""
+    return next(list(c) for c in combinations(range(g.n), size) if predicate(c))
+
+
+def _check_lexicographic_witnesses(g):
+    gamma, wg = domination_number(g)
+    ind_dom, wi = independent_domination_number(g)
+    alpha, wa = independence_number(g)
+    assert sorted(wg) == _first_set(g, gamma, g.is_dominating)
+    assert sorted(wi) == _first_set(
+        g, ind_dom, lambda c: g.is_dominating(c) and g.is_independent(c))
+    assert sorted(wa) == _first_set(g, alpha, g.is_independent)
+    # the profile shares one memo between alpha, its witness and alpha_c
+    p = parameter_profile(g)
+    assert (p.witness_gamma, p.witness_ind_dom, p.witness_ind) == (wg, wi, wa)
+
+
 @given(graphs(min_n=1, max_n=7))
 @settings(max_examples=40, deadline=None)
 def test_witnesses_are_lexicographically_smallest(g):
-    gamma, wg = domination_number(g)
-    candidates = [
-        m for m in range(1 << g.n)
-        if m.bit_count() == gamma and g.is_dominating([v for v in range(g.n) if m >> v & 1])
-    ]
-    best = min(sorted(v for v in range(g.n) if m >> v & 1) for m in candidates)
-    assert sorted(wg) == best
+    _check_lexicographic_witnesses(g)
+
+
+@given(forests_and_cycles(max_n=14))
+@settings(max_examples=40, deadline=None)
+def test_sparse_solvers_match_brute_force(g):
+    # components, isolated vertices and degree-1 vertices: the reductions of
+    # the independence search and the 2-packing bound of the domination search
+    p = parameter_profile(g)
+    assert p.gamma == brute_domination(g)
+    assert p.ind_dom == brute_independent_domination(g)
+    assert p.ind == brute_independence(g)
+    assert p.common_ind == brute_common_independence(g)
+    for v in range(g.n):
+        rest = set(range(g.n)) - g.neighbors(v) - {v}
+        assert p.per_vertex_ind[v] == 1 + brute_independence(g.induced(rest))
+    _check_lexicographic_witnesses(g)
+
+
+@pytest.mark.parametrize("n", [40, 41, 60, 61])
+def test_cycles_and_paths_closed_forms(n):
+    # gamma = i = ceil(n/3); alpha_c = floor(n/2); alpha = floor(n/2) on C_n
+    # and ceil(n/2) on P_n
+    for g, alpha in ((cycle_graph(n), n // 2), (path_graph(n), -(-n // 2))):
+        p = parameter_profile(g)
+        assert (p.gamma, p.ind_dom, p.common_ind, p.ind) == (-(-n // 3), -(-n // 3), n // 2, alpha)
+        assert verify_witness(g, p)
