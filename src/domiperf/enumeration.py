@@ -1,9 +1,10 @@
 """Exhaustive verification drivers over the non-isomorphic graph universes.
 
-Each driver sweeps a universe from :mod:`domiperf.universe` and tallies the
-agreements of independent routes in a JSON-serializable report.  Canonical
-forms come from :mod:`domiperf.canon` (individualization and refinement);
-both modules' public names are re-exported here.
+Each driver is a list of sweeps run by one loop: a sweep checks every graph
+of a universe from :mod:`domiperf.universe` and tallies the agreements of
+independent routes in a JSON-serializable report.  Canonical forms come from
+:mod:`domiperf.canon` (individualization and refinement); both modules'
+public names are re-exported here.
 """
 
 from __future__ import annotations
@@ -11,10 +12,11 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass, field
+from typing import Callable, Iterable
 
 from domiperf.canon import MAX_CANONICAL_ORDER, CanonicalForm, canonical_form, canonical_graph
 from domiperf.formats import emit_graph6
-from domiperf.graph import GraphError
+from domiperf.graph import Graph, GraphError
 from domiperf.graph_classes import (
     block_graph_corollary,
     chordal_corollary,
@@ -32,7 +34,6 @@ from domiperf.invariants import parameter_profile, verify_witness
 from domiperf.patterns import is_claw_free
 from domiperf.perfection import (
     SubgraphTables,
-    is_minimal_imperfect,
     perfect_by_definition,
     perfect_by_gamma2,
     perfect_by_theorem,
@@ -80,53 +81,102 @@ class VerificationReport:
 
 # -- verification drivers ---------------------------------------------------
 
-def verify_theorem(order_max: int) -> VerificationReport:
-    """Compare the three perfection methods on every graph up to order_max."""
+# One sweep: the note template its count fills in (or None), the graphs, and a
+# check that returns None when a graph passes, else the counterexample detail.
+Sweep = tuple[str | None, Iterable[Graph], Callable[[Graph], dict | None]]
+
+
+def _check_order(order_max: int) -> None:
     if order_max > MAX_ENUM_ORDER:
         raise GraphError(f"verification capped at order {MAX_ENUM_ORDER}")
+
+
+def _run(universe: str, sweeps: Iterable[Sweep]) -> VerificationReport:
     start = time.perf_counter()
-    report = VerificationReport(universe=f"all graphs, orders 1..{order_max}")
+    report = VerificationReport(universe=universe)
+    for note, graphs, check in sweeps:
+        before = report.checked
+        for G in graphs:
+            detail = check(G)
+            report.record(detail is None, detail)
+        if note is not None:
+            report.notes.append(note.format(report.checked - before))
+    report.elapsed_seconds = time.perf_counter() - start
+    return report
+
+
+def verify_theorem(order_max: int) -> VerificationReport:
+    """Compare the three perfection methods on every graph up to order_max."""
+    _check_order(order_max)
     minimal_tokens = []
-    for G in enumerate_up_to(order_max):
+
+    def check(G: Graph) -> dict | None:
         tables = SubgraphTables(G)
         vd = perfect_by_definition(G, tables=tables)
         vg = perfect_by_gamma2(G, tables=tables)
         vt = perfect_by_theorem(G)
-        ok = vd.perfect == vg.perfect == vt.perfect
-        detail = None
-        if not ok:
-            detail = {
-                "graph6": emit_graph6(G),
-                "definition": vd.perfect,
-                "gamma2": vg.perfect,
-                "theorem": vt.perfect,
-            }
-        report.record(ok, detail)
-        if not vd.perfect and is_minimal_imperfect(G, tables=tables):
+        # minimal imperfect iff the definition scan's first gap is all of G
+        if not vd.perfect and len(vd.witness.vertices) == G.n:
             minimal_tokens.append(canonical_form(G).token)
+        if vd.perfect == vg.perfect == vt.perfect:
+            return None
+        return {
+            "graph6": emit_graph6(G),
+            "definition": vd.perfect,
+            "gamma2": vg.perfect,
+            "theorem": vt.perfect,
+        }
+
+    report = _run(
+        f"all graphs, orders 1..{order_max}", [(None, enumerate_up_to(order_max), check)]
+    )
     report.notes.append(
         f"minimal imperfect graphs found: {len(minimal_tokens)}"
         + (f" ({', '.join(sorted(minimal_tokens))})" if minimal_tokens else "")
     )
-    report.elapsed_seconds = time.perf_counter() - start
     return report
+
+
+def _chain_check(G: Graph) -> dict | None:
+    try:
+        ok = verify_witness(G, parameter_profile(G))
+    except AssertionError:
+        ok = False
+    return None if ok else {"graph6": emit_graph6(G)}
 
 
 def verify_chain(order_max: int) -> VerificationReport:
     """Assert gamma <= i <= alpha_c <= alpha plus witness soundness everywhere."""
-    if order_max > MAX_ENUM_ORDER:
-        raise GraphError(f"verification capped at order {MAX_ENUM_ORDER}")
-    start = time.perf_counter()
-    report = VerificationReport(universe=f"all graphs, orders 1..{order_max}")
-    for G in enumerate_up_to(order_max):
-        try:
-            profile = parameter_profile(G)
-            ok = verify_witness(G, profile)
-        except AssertionError:
-            ok = False
-        report.record(ok, None if ok else {"graph6": emit_graph6(G)})
-    report.elapsed_seconds = time.perf_counter() - start
-    return report
+    _check_order(order_max)
+    return _run(
+        f"all graphs, orders 1..{order_max}", [(None, enumerate_up_to(order_max), _chain_check)]
+    )
+
+
+def _tree_check(T: Graph) -> dict | None:
+    conds = tree_corollary_conditions(T)
+    return None if len(set(conds)) == 1 else {"sweep": "tree", "conditions": list(conds)}
+
+
+def _matches_theorem(
+    sweep: str,
+    criterion: Callable[[Graph], bool],
+    construct: Callable[[Graph], Graph] | None = None,
+) -> Callable[[Graph], dict | None]:
+    """Check that ``criterion`` on G predicts the theorem route on G (or on ``construct(G)``)."""
+    key = "graph6" if construct is None else "host_graph6"
+
+    def check(G: Graph) -> dict | None:
+        target = G if construct is None else construct(G)
+        if criterion(G) == perfect_by_theorem(target).perfect:
+            return None
+        return {"sweep": sweep, key: emit_graph6(G)}
+
+    return check
+
+
+def _connected_block_graph(G: Graph) -> bool:
+    return G.is_connected() and is_block_graph(G)
 
 
 def verify_corollaries(
@@ -136,73 +186,40 @@ def verify_corollaries(
     middle_host_order_max: int = 5,
 ) -> VerificationReport:
     """Run every class-restricted equivalence exhaustively and aggregate."""
-    if order_max > MAX_ENUM_ORDER:
-        raise GraphError(f"verification capped at order {MAX_ENUM_ORDER}")
+    _check_order(order_max)
     if tree_order_max > MAX_TREE_ORDER:
         raise GraphError(f"tree sweep capped at order {MAX_TREE_ORDER}")
     if line_host_order_max > 7 or middle_host_order_max > 5:
         raise GraphError("line hosts capped at order 7, middle hosts at order 5")
-    start = time.perf_counter()
-    report = VerificationReport(
-        universe=(
-            f"corollary sweeps: trees<={tree_order_max}, classes<={order_max}, "
-            f"line hosts<={line_host_order_max}, middle hosts<={middle_host_order_max}"
-        )
-    )
-
-    tree_checked = 0
-    for G in enumerate_up_to(tree_order_max, "tree"):
-        conds = tree_corollary_conditions(G)
-        ok = len(set(conds)) == 1
-        report.record(ok, None if ok else {"sweep": "tree", "conditions": list(conds)})
-        tree_checked += 1
-    report.notes.append(f"tree sweep: {tree_checked} trees")
-
-    for name, recognizer, criterion in (
-        ("chordal", is_chordal, chordal_corollary),
-        ("claw-free", is_claw_free, claw_free_corollary),
-    ):
-        count = 0
-        for G in enumerate_up_to(order_max):
-            if not recognizer(G):
-                continue
-            ok = criterion(G) == perfect_by_theorem(G).perfect
-            report.record(ok, None if ok else {"sweep": name, "graph6": emit_graph6(G)})
-            count += 1
-        report.notes.append(f"{name} sweep: {count} graphs")
-
-    count = 0
-    for G in enumerate_up_to(order_max):
-        if not (G.is_connected() and is_block_graph(G)):
-            continue
-        ok = block_graph_corollary(G) == perfect_by_theorem(G).perfect
-        report.record(ok, None if ok else {"sweep": "block", "graph6": emit_graph6(G)})
-        count += 1
-    report.notes.append(f"block graph sweep: {count} graphs")
-
-    count = 0
-    for H in enumerate_up_to(line_host_order_max):
-        ok = line_graph_criterion(H) == perfect_by_theorem(line_graph(H)).perfect
-        report.record(ok, None if ok else {"sweep": "line", "host_graph6": emit_graph6(H)})
-        count += 1
-    report.notes.append(f"line graph sweep: {count} hosts")
-
-    count = 0
     phrasing_gaps = []
-    for H in enumerate_up_to(middle_host_order_max):
-        matching_ok = middle_graph_criterion(H)
-        ok = matching_ok == perfect_by_theorem(middle_graph(H)).perfect
-        report.record(ok, None if ok else {"sweep": "middle", "host_graph6": emit_graph6(H)})
-        count += 1
-        if matching_ok and not middle_graph_star_phrasing(H):
+
+    def middle_criterion(H: Graph) -> bool:
+        ok = middle_graph_criterion(H)
+        if ok and not middle_graph_star_phrasing(H):
             phrasing_gaps.append(emit_graph6(H))
-    report.notes.append(f"middle graph sweep: {count} hosts")
+        return ok
+
+    report = _run(
+        f"corollary sweeps: trees<={tree_order_max}, classes<={order_max}, "
+        f"line hosts<={line_host_order_max}, middle hosts<={middle_host_order_max}",
+        [
+            ("tree sweep: {} trees", enumerate_up_to(tree_order_max, "tree"), _tree_check),
+            ("chordal sweep: {} graphs", enumerate_up_to(order_max, is_chordal),
+             _matches_theorem("chordal", chordal_corollary)),
+            ("claw-free sweep: {} graphs", enumerate_up_to(order_max, is_claw_free),
+             _matches_theorem("claw-free", claw_free_corollary)),
+            ("block graph sweep: {} graphs", enumerate_up_to(order_max, _connected_block_graph),
+             _matches_theorem("block", block_graph_corollary)),
+            ("line graph sweep: {} hosts", enumerate_up_to(line_host_order_max),
+             _matches_theorem("line", line_graph_criterion, line_graph)),
+            ("middle graph sweep: {} hosts", enumerate_up_to(middle_host_order_max),
+             _matches_theorem("middle", middle_criterion, middle_graph)),
+        ],
+    )
     if phrasing_gaps:
         report.notes.append(
             "middle-graph star phrasing disagrees with the matching criterion on "
             "hosts whose only nontrivial component is a triangle: "
             + ", ".join(phrasing_gaps)
         )
-
-    report.elapsed_seconds = time.perf_counter() - start
     return report

@@ -1,9 +1,9 @@
-"""graph6 parsing/emission plus an edge-list format and DOT export.
+"""graph6 parsing/emission, edge-list parsing and DOT export.
 
 graph6 covers every order a ``Graph`` allows (n <= 64): the one-byte
 short-form header up to n = 62, the long form ("~" and three bytes) for
-n = 63 and 64.  The edge-list format is 1-based: first line "n", then one
-"u v" pair per line.
+n = 63 and 64.  The edge list is an input format only; it is 1-based: first
+line "n", then one "u v" pair per line.
 """
 
 from __future__ import annotations
@@ -143,12 +143,6 @@ def parse_edge_list(text: str) -> Graph:
         return build_graph(n, edges)
     except GraphError as exc:
         raise FormatError(str(exc)) from exc
-
-
-def emit_edge_list(G: Graph) -> str:
-    lines = [str(G.n)]
-    lines.extend(f"{u + 1} {v + 1}" for u, v in G.edges())
-    return "\n".join(lines) + "\n"
 
 
 def emit_dot(G: Graph, labels: Sequence[str] | None = None) -> str:

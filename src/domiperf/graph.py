@@ -114,9 +114,6 @@ class Graph:
             rows.append(row)
         return Graph(len(keep), tuple(rows))
 
-    def induced_mask(self, mask: int) -> "Graph":
-        return self.induced(bits(mask))
-
     def distance(self, u: int, v: int) -> int | float:
         """Breadth-first shortest-path length; INFINITE when disconnected."""
         self._check_vertices((u, v))

@@ -10,7 +10,9 @@ independent and their agreement is itself a verifiable claim.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
+from typing import Callable
 
 from domiperf.canon import canonical_graph
 from domiperf.graph import Graph, GraphError, mask_of, set_of
@@ -98,44 +100,48 @@ class SubgraphTables:
         return best
 
 
-def _ascending_subsets(n: int):
-    # increasing size, lexicographic within a size
-    for k in range(1, n + 1):
-        for combo in combinations(range(n), k):
-            yield mask_of(combo)
+@cache
+def _ascending_subsets(n: int) -> tuple[int, ...]:
+    """Nonempty subset masks by increasing size, lexicographic within a size."""
+    return tuple(mask_of(c) for k in range(1, n + 1) for c in combinations(range(n), k))
+
+
+def _tables(G: Graph, cap: int, tables: SubgraphTables | None) -> SubgraphTables:
+    if G.n == 0:
+        raise GraphError("perfection undefined on the empty graph")
+    return tables if tables is not None else SubgraphTables(G, cap)
+
+
+def _gap(t: SubgraphTables, s: int) -> bool:
+    return t.gamma[s] != t.common_ind(s)
+
+
+def _gamma2_gap(t: SubgraphTables, s: int) -> bool:
+    return t.gamma[s] == 2 and t.common_ind(s) == 3
+
+
+def _scan(
+    t: SubgraphTables, method: str, hit: Callable[[SubgraphTables, int], bool]
+) -> PerfectionVerdict:
+    """Imperfect iff ``hit`` holds on some subset; the witness is the first in ascending order."""
+    s = next((s for s in _ascending_subsets(t.graph.n) if hit(t, s)), None)
+    if s is None:
+        return PerfectionVerdict(True, method)
+    return PerfectionVerdict(False, method, SubsetWitness(set_of(s), t.gamma[s], t.common_ind(s)))
 
 
 def perfect_by_definition(
     G: Graph, cap: int = DEFAULT_CAP, tables: SubgraphTables | None = None
 ) -> PerfectionVerdict:
     """Check gamma == alpha_c on every nonempty induced subgraph directly."""
-    if G.n == 0:
-        raise GraphError("perfection undefined on the empty graph")
-    t = tables if tables is not None else SubgraphTables(G, cap)
-    for s in _ascending_subsets(G.n):
-        g = t.gamma[s]
-        ac = t.common_ind(s)
-        if g != ac:
-            return PerfectionVerdict(False, "definition", SubsetWitness(set_of(s), g, ac))
-    return PerfectionVerdict(True, "definition")
+    return _scan(_tables(G, cap, tables), "definition", _gap)
 
 
 def perfect_by_gamma2(
     G: Graph, cap: int = DEFAULT_CAP, tables: SubgraphTables | None = None
 ) -> PerfectionVerdict:
     """Only induced subgraphs with gamma = 2 are tested; failure is alpha_c = 3."""
-    if G.n == 0:
-        raise GraphError("perfection undefined on the empty graph")
-    t = tables if tables is not None else SubgraphTables(G, cap)
-    for s in _ascending_subsets(G.n):
-        if t.gamma[s] != 2:
-            continue
-        ac = t.common_ind(s)
-        if ac == 3:
-            return PerfectionVerdict(
-                False, "gamma2-definition", SubsetWitness(set_of(s), 2, ac)
-            )
-    return PerfectionVerdict(True, "gamma2-definition")
+    return _scan(_tables(G, cap, tables), "gamma2-definition", _gamma2_gap)
 
 
 def perfect_by_theorem(G: Graph) -> PerfectionVerdict:
@@ -147,17 +153,13 @@ def perfect_by_theorem(G: Graph) -> PerfectionVerdict:
 def is_minimal_imperfect(
     G: Graph, cap: int = DEFAULT_CAP, tables: SubgraphTables | None = None
 ) -> bool:
-    """gamma < alpha_c on G itself, equality on every proper induced subgraph."""
-    if G.n == 0:
-        raise GraphError("perfection undefined on the empty graph")
-    t = tables if tables is not None else SubgraphTables(G, cap)
-    full = G.vertex_mask
-    if t.gamma[full] >= t.common_ind(full):
-        return False
-    for s in range(1, full):
-        if t.gamma[s] != t.common_ind(s):
-            return False
-    return True
+    """gamma < alpha_c on G itself, equality on every proper induced subgraph.
+
+    As gamma <= alpha_c always holds, that is: the definition scan's first gap
+    is the whole vertex set.  The gap on G itself is tested first, as it is cheap.
+    """
+    t = _tables(G, cap, tables)
+    return _gap(t, G.vertex_mask) and len(_scan(t, "definition", _gap).witness.vertices) == G.n
 
 
 def search_minimal_imperfect(order: int) -> list[Graph]:

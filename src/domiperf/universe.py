@@ -14,23 +14,12 @@ from typing import Callable, Iterator
 
 from domiperf.canon import certificate
 from domiperf.graph import Graph, GraphError, bits, build_graph
-from domiperf.graph_classes import is_block_graph, is_chordal
-from domiperf.patterns import is_claw_free
 
 MAX_ENUM_ORDER = 8
 MAX_TREE_ORDER = 12
 
 _UNIVERSE_CACHE: dict[int, list[Graph]] = {}
 _TREE_CACHE: dict[int, list[Graph]] = {}
-
-_FILTERS: dict[str, Callable[[Graph], bool]] = {
-    "connected": Graph.is_connected,
-    "tree": Graph.is_tree,
-    "chordal": is_chordal,
-    "block-graph": is_block_graph,
-    "claw-free": is_claw_free,
-}
-
 
 def _all_graphs(order: int) -> list[Graph]:
     if order in _UNIVERSE_CACHE:
@@ -101,19 +90,24 @@ def _all_trees(order: int) -> list[Graph]:
 def enumerate_graphs(
     order: int, filter: str | Callable[[Graph], bool] | None = None
 ) -> Iterator[Graph]:
-    """One representative per isomorphism class at the given order."""
+    """One representative per isomorphism class at the given order.
+
+    ``filter`` is ``"tree"`` (trees have their own generator) or a predicate
+    that picks the graphs to yield.
+    """
     if order < 1:
         raise GraphError("enumeration starts at order 1")
-    predicate = _FILTERS[filter] if isinstance(filter, str) else filter
     if filter == "tree":
         if order > MAX_TREE_ORDER:
             raise GraphError(f"tree enumeration capped at order {MAX_TREE_ORDER}")
         yield from _all_trees(order)
         return
+    if isinstance(filter, str):
+        raise GraphError(f"unknown enumeration filter {filter!r}")
     if order > MAX_ENUM_ORDER:
         raise GraphError(f"full enumeration capped at order {MAX_ENUM_ORDER}")
     for G in _all_graphs(order):
-        if predicate is None or predicate(G):
+        if filter is None or filter(G):
             yield G
 
 

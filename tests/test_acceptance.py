@@ -1,8 +1,10 @@
 """End-to-end acceptance sweep.
 
-Every test prints a single PASS/FAIL line (visible with ``pytest -s``) and
-shares one exhaustive pass over the graph universe so the whole file stays
-within a few minutes.  Run it alone with::
+Every test prints a single PASS/FAIL line (visible with ``pytest -s``).  The
+exhaustive checks read the reports of the shipped verification drivers
+(``verify_theorem``, ``verify_chain``, ``verify_corollaries``), each run once
+at order 8 over one shared graph universe, so the whole file stays within a
+few minutes.  Run it alone with::
 
     pytest tests/test_acceptance.py -s
 """
@@ -13,20 +15,16 @@ from itertools import combinations
 import pytest
 
 from conftest import pattern_graph
-from domiperf.enumeration import canonical_form, enumerate_graphs
+from domiperf.enumeration import (
+    canonical_form,
+    enumerate_graphs,
+    verify_chain,
+    verify_corollaries,
+    verify_theorem,
+)
 from domiperf.formats import emit_graph6, parse_graph6
 from domiperf.graph import build_graph, complete_graph
-from domiperf.graph_classes import (
-    chordal_corollary,
-    claw_free_corollary,
-    is_chordal,
-    line_graph,
-    line_graph_criterion,
-    middle_graph,
-    middle_graph_criterion,
-    middle_graph_star_phrasing,
-    tree_corollary_conditions,
-)
+from domiperf.graph_classes import middle_graph_criterion, middle_graph_star_phrasing
 from domiperf.invariants import (
     brute_common_independence,
     brute_domination,
@@ -36,17 +34,8 @@ from domiperf.invariants import (
     domination_number,
     independence_number,
     independent_domination_number,
-    parameter_profile,
 )
-from domiperf.patterns import is_claw_free
-from domiperf.perfection import (
-    SubgraphTables,
-    is_minimal_imperfect,
-    perfect_by_definition,
-    perfect_by_gamma2,
-    perfect_by_theorem,
-    search_minimal_imperfect,
-)
+from domiperf.perfection import is_minimal_imperfect, search_minimal_imperfect
 
 MAX_ORDER = 8
 EXPECTED_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
@@ -64,24 +53,18 @@ def universe():
 
 
 @pytest.fixture(scope="session")
-def sweep(universe):
-    """One pass per graph of order <= 8: invariant profile + three verdicts."""
-    chain_bad = []
-    method_bad = []
-    profiles = {}
-    for order, graphs in universe.items():
-        for G in graphs:
-            tables = SubgraphTables(G)
-            a = perfect_by_definition(G, tables=tables).perfect
-            b = perfect_by_gamma2(G, tables=tables).perfect
-            c = perfect_by_theorem(G).perfect
-            if not a == b == c:
-                method_bad.append((emit_graph6(G), a, b, c))
-            p = parameter_profile(G)
-            if not p.gamma <= p.ind_dom <= p.common_ind <= p.ind:
-                chain_bad.append(emit_graph6(G))
-            profiles[emit_graph6(G)] = p
-    return {"chain_bad": chain_bad, "method_bad": method_bad, "profiles": profiles}
+def theorem_report():
+    return verify_theorem(MAX_ORDER)
+
+
+@pytest.fixture(scope="session")
+def chain_report():
+    return verify_chain(MAX_ORDER)
+
+
+@pytest.fixture(scope="session")
+def corollary_report():
+    return verify_corollaries(MAX_ORDER)
 
 
 def test_01_parameter_table_of_minimal_graphs():
@@ -105,22 +88,28 @@ def test_02_catalog_members_are_minimal_imperfect():
     _report("02 each catalog graph is minimal imperfect", ok, time.perf_counter() - start)
 
 
-def test_03_invariant_chain_exhaustive(sweep):
-    ok = not sweep["chain_bad"]
+def test_03_invariant_chain_exhaustive(chain_report):
+    # parameter_profile asserts the chain; verify_chain also re-checks every witness
+    ok = chain_report.clean and chain_report.checked == sum(EXPECTED_COUNTS.values())
     _report(f"03 chain gamma<=i<=alpha_c<=alpha on all graphs of order <= {MAX_ORDER}", ok)
 
 
-def test_04_definition_matches_theorem(sweep):
-    ok = all(a == c for _, a, _, c in sweep["method_bad"]) and not sweep["method_bad"]
+def test_04_definition_matches_theorem(theorem_report):
+    details = theorem_report.counterexamples
+    ok = (
+        theorem_report.checked == sum(EXPECTED_COUNTS.values())
+        and theorem_report.counterexample_total == len(details)
+        and all(d["definition"] == d["theorem"] for d in details)
+    )
     _report(f"04 definition and forbidden-pattern checks agree on order <= {MAX_ORDER}", ok)
 
 
-def test_05_gamma2_route_agrees(sweep):
-    ok = not sweep["method_bad"]
+def test_05_gamma2_route_agrees(theorem_report):
+    ok = theorem_report.clean
     _report(f"05 gamma=2 shortcut agrees with both routes on order <= {MAX_ORDER}", ok)
 
 
-def test_06_minimal_imperfect_census():
+def test_06_minimal_imperfect_census(theorem_report):
     start = time.perf_counter()
     ok = all(search_minimal_imperfect(order) == [] for order in (1, 2, 3, 4, 5, 7))
     found = search_minimal_imperfect(6)
@@ -128,62 +117,53 @@ def test_06_minimal_imperfect_census():
         canonical_form(pattern_graph(f"H{k}")).token for k in range(1, 11)
     )
     ok = ok and sorted(emit_graph6(g) for g in found) == catalog_tokens
+    # verify_theorem reads minimality off its definition verdicts: the same ten
+    ok = ok and theorem_report.notes == [
+        f"minimal imperfect graphs found: 10 ({', '.join(catalog_tokens)})"
+    ]
     _report("06 census: exactly the ten order-6 minimal imperfect graphs", ok,
             time.perf_counter() - start)
 
 
-def test_07_tree_characterization():
-    start = time.perf_counter()
-    ok, trees = True, 0
-    for order in range(1, 13):
-        for t in enumerate_graphs(order, "tree"):
-            trees += 1
-            perfect = perfect_by_theorem(t).perfect
-            ok = ok and tree_corollary_conditions(t) == (perfect,) * 4
-    ok = ok and trees == 1 + 1 + 1 + 2 + 3 + 6 + 11 + 23 + 47 + 106 + 235 + 551
-    _report("07 trees to order 12: all four conditions match perfection", ok,
-            time.perf_counter() - start)
+def test_07_tree_characterization(corollary_report):
+    ok = corollary_report.clean
+    ok = ok and "tree sweep: 987 trees" in corollary_report.notes
+    _report("07 trees to order 12: all four conditions match perfection", ok)
 
 
-def test_08_chordal_characterization(universe):
-    ok = True
-    for graphs in universe.values():
-        for g in graphs:
-            if g.is_connected() and is_chordal(g):
-                ok = ok and chordal_corollary(g) == perfect_by_theorem(g).perfect
+def test_08_chordal_characterization(corollary_report):
+    # 2650: the OEIS count of chordal graphs of order 1..8 (not only connected ones)
+    ok = corollary_report.clean
+    ok = ok and "chordal sweep: 2650 graphs" in corollary_report.notes
     _report(f"08 chordal shortcut matches perfection on order <= {MAX_ORDER}", ok)
 
 
-def test_09_claw_free_characterization(universe):
-    ok = True
-    for graphs in universe.values():
-        for g in graphs:
-            if g.is_connected() and is_claw_free(g):
-                ok = ok and claw_free_corollary(g) == perfect_by_theorem(g).perfect
-    _report(f"09 claw-free shortcut matches perfection on order <= {MAX_ORDER}", ok)
+def test_09_claw_free_characterization(corollary_report):
+    # OEIS counts: 1715 claw-free graphs, 263 connected block graphs of order 1..8
+    ok = corollary_report.clean
+    ok = ok and "claw-free sweep: 1715 graphs" in corollary_report.notes
+    ok = ok and "block graph sweep: 263 graphs" in corollary_report.notes
+    _report(f"09 claw-free and block shortcuts match perfection on order <= {MAX_ORDER}", ok)
 
 
-def test_10_line_graph_characterization(universe):
-    start = time.perf_counter()
-    ok = True
-    for order in range(1, 8):
-        for host in universe[order]:
-            ok = ok and line_graph_criterion(host) == perfect_by_theorem(line_graph(host)).perfect
-    _report("10 line-graph criterion matches perfection for hosts of order <= 7", ok,
-            time.perf_counter() - start)
+def test_10_line_graph_characterization(corollary_report):
+    ok = corollary_report.clean
+    ok = ok and "line graph sweep: 1252 hosts" in corollary_report.notes
+    ok = ok and corollary_report.checked == 987 + 2650 + 1715 + 263 + 1252 + 52
+    _report("10 line-graph criterion matches perfection for hosts of order <= 7", ok)
 
 
-def test_11_middle_graph_characterization(universe):
-    start = time.perf_counter()
-    ok = True
-    for order in range(1, 6):
-        for host in universe[order]:
-            ok = ok and middle_graph_criterion(host) == perfect_by_theorem(middle_graph(host)).perfect
+def test_11_middle_graph_characterization(corollary_report):
+    ok = corollary_report.clean
+    ok = ok and corollary_report.notes[-2:] == [
+        "middle graph sweep: 52 hosts",
+        "middle-graph star phrasing disagrees with the matching criterion on "
+        "hosts whose only nontrivial component is a triangle: Bw, CT, DCc",
+    ]
     # the star-only phrasing provably misses the triangle; keep that fact pinned
     k3 = complete_graph(3)
     ok = ok and middle_graph_criterion(k3) and not middle_graph_star_phrasing(k3)
-    _report("11 middle-graph criterion matches perfection for hosts of order <= 5", ok,
-            time.perf_counter() - start)
+    _report("11 middle-graph criterion matches perfection for hosts of order <= 5", ok)
 
 
 def test_12_graph6_round_trip(universe):

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations, permutations
 
 import pytest
@@ -17,7 +20,8 @@ from domiperf.enumeration import (
     verify_theorem,
 )
 from domiperf.formats import parse_graph6
-from domiperf.graph import GraphError, build_graph, complete_graph, cycle_graph, path_graph
+from domiperf.graph import Graph, GraphError, build_graph, complete_graph, cycle_graph, path_graph
+from domiperf.graph_classes import is_chordal
 
 SMALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
 TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23}
@@ -163,11 +167,34 @@ def test_tree_counts_against_prufer_oracle():
 
 
 def test_filters():
-    assert all(g.is_connected() for g in enumerate_graphs(5, "connected"))
-    assert sum(1 for _ in enumerate_graphs(5, "connected")) == 21
+    assert all(g.is_connected() for g in enumerate_graphs(5, Graph.is_connected))
+    assert sum(1 for _ in enumerate_graphs(5, Graph.is_connected)) == 21
     assert all(g.is_tree() for g in enumerate_graphs(6, "tree"))
-    chordal = list(enumerate_graphs(5, "chordal"))
+    chordal = list(enumerate_graphs(5, is_chordal))
     assert cycle_graph(5).degree_sequence() not in {g.degree_sequence() for g in chordal if g.m == 5 and g.is_connected() and all(d == 2 for d in g.degree_sequence())}
+    assert [canonical_form(g) for g in chordal] == [
+        canonical_form(g) for g in enumerate_graphs(5) if is_chordal(g)
+    ]
+
+
+@pytest.mark.parametrize("name", ["connected", "chordal", "block-graph", "claw-free", "trees"])
+def test_unknown_filter_name_raises(name):
+    with pytest.raises(GraphError):
+        list(enumerate_graphs(4, name))
+
+
+def test_universe_imports_no_graph_theory():
+    # the universes sit below the recognizers, the patterns and the perfection routes
+    code = (
+        "import sys, domiperf.universe, domiperf.canon; "
+        "print(sorted(m for m in ('domiperf.graph_classes', 'domiperf.patterns', "
+        "'domiperf.perfection') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_enumeration_caps():

@@ -1,8 +1,13 @@
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 
 from conftest import graphs, pattern_graph
 from domiperf.graph import GraphError, build_graph, complete_graph, cycle_graph, path_graph
+from domiperf.invariants import brute_common_independence, brute_domination
+from domiperf.enumeration import enumerate_graphs, enumerate_up_to
 from domiperf.perfection import (
     SubgraphTables,
     SubsetWitness,
@@ -105,3 +110,43 @@ def test_perfection_is_hereditary(g):
             sub = g.induced(set(range(g.n)) - {v})
             if sub.n:
                 assert perfect_by_definition(sub).perfect
+
+
+def _check_scans_by_brute_force(g):
+    # each induced subgraph's gamma and alpha_c by brute force; subsets ordered
+    # by size, then lexicographically
+    vertex_sets = sorted(
+        (tuple(v for v in range(g.n) if m >> v & 1) for m in range(1, 1 << g.n)),
+        key=lambda S: (len(S), S),
+    )
+    values = {}
+    for S in vertex_sets:
+        sub = g.induced(S)
+        values[S] = (brute_domination(sub), brute_common_independence(sub))
+    gaps = [S for S in vertex_sets if values[S][0] != values[S][1]]
+    gaps2 = [S for S in vertex_sets if values[S] == (2, 3)]
+
+    v = perfect_by_definition(g)
+    assert v.perfect == (not gaps)
+    if gaps:
+        assert v.witness == SubsetWitness(frozenset(gaps[0]), *values[gaps[0]])
+    v = perfect_by_gamma2(g)
+    assert v.perfect == (not gaps2)
+    if gaps2:
+        assert v.witness == SubsetWitness(frozenset(gaps2[0]), 2, 3)
+    assert is_minimal_imperfect(g) == (gaps == [tuple(range(g.n))])
+
+
+def test_scans_match_brute_force_in_ascending_order():
+    cases = list(enumerate_up_to(6))
+    assert len(cases) == 208
+    # At order <= 6 an imperfect graph is one of H1..H10 and has one gap.  The
+    # 201 imperfect graphs of order 7 have gaps of sizes 6 and 7 (order by size);
+    # random graphs of order 8 tell lexicographic from integer order.
+    cases += [g for g in enumerate_graphs(7) if not perfect_by_theorem(g).perfect]
+    assert len(cases) == 208 + 201
+    rng = random.Random(8)
+    pairs = list(combinations(range(8), 2))
+    cases += [build_graph(8, [p for p in pairs if rng.random() < 0.5]) for _ in range(30)]
+    for g in cases:
+        _check_scans_by_brute_force(g)
