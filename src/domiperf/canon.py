@@ -146,12 +146,12 @@ def certificate(adj: Sequence[int]) -> tuple[int, ...]:
     return best
 
 
-def canonical_graph(G: Graph, max_order: int = MAX_CANONICAL_ORDER) -> Graph:
-    if G.n > max_order:
-        raise GraphError(f"canonical labeling capped at order {max_order}")
+def canonical_graph(G: Graph) -> Graph:
+    if G.n > MAX_CANONICAL_ORDER:
+        raise GraphError(f"canonical labeling capped at order {MAX_CANONICAL_ORDER}")
     return Graph(G.n, certificate(G.adj))
 
 
-def canonical_form(G: Graph, max_order: int = MAX_CANONICAL_ORDER) -> CanonicalForm:
+def canonical_form(G: Graph) -> CanonicalForm:
     """Isomorphism-invariant token: graph6 of the canonical relabeling."""
-    return CanonicalForm(G.n, emit_graph6(canonical_graph(G, max_order)))
+    return CanonicalForm(G.n, emit_graph6(canonical_graph(G)))

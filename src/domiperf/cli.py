@@ -3,7 +3,9 @@
 One JSON record per input graph on stdout; witness vertex sets use 1-based
 labels matching the edge-list convention.  Exit codes: 0 success/verified,
 1 a property fails or a counterexample exists, 2 usage or parse errors.
-DOMIPERF_WORKERS overrides the worker count for per-graph commands.
+``classify`` maps its records over a process pool; DOMIPERF_WORKERS overrides
+its worker count.  ``compute`` is cheaper per graph than the pool's overhead
+and runs in this process.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from domiperf.formats import (
     iter_graph6,
     parse_edge_list,
 )
-from domiperf.graph import Graph, GraphError
+from domiperf.graph import GraphError
 from domiperf.graph_classes import corona_k1, line_graph, middle_graph, total_graph
 from domiperf.invariants import parameter_profile
 from domiperf.perfection import (
@@ -72,7 +74,7 @@ def _map_ordered(fn: Callable, items: Sequence, workers: int) -> list:
 
 def _parse_records(text: str, fmt: str) -> list[GraphRecord]:
     if fmt == "edges":
-        return [GraphRecord(1, parse_edge_list(text), "<edge-list>")]
+        return [GraphRecord(1, parse_edge_list(text))]
     return list(iter_graph6(text.splitlines()))
 
 
@@ -150,7 +152,7 @@ def _verdict_json(rec: GraphRecord, verdict: PerfectionVerdict) -> dict:
 
 def cmd_compute(args) -> int:
     records = _read_records(args)
-    _emit(_map_ordered(_compute_record, records, _worker_count()), args.output)
+    _emit([_compute_record(rec) for rec in records], args.output)
     return EXIT_OK
 
 

@@ -48,6 +48,9 @@ __all__ = [
 ]
 
 COUNTEREXAMPLE_CAP = 100
+# host orders of the line and middle graph sweeps; trees go to MAX_TREE_ORDER
+LINE_HOST_ORDER = 7
+MIDDLE_HOST_ORDER = 5
 
 
 @dataclass
@@ -87,6 +90,8 @@ Sweep = tuple[str | None, Iterable[Graph], Callable[[Graph], dict | None]]
 
 
 def _check_order(order_max: int) -> None:
+    if order_max < 1:
+        raise GraphError("verification starts at order 1")
     if order_max > MAX_ENUM_ORDER:
         raise GraphError(f"verification capped at order {MAX_ENUM_ORDER}")
 
@@ -179,18 +184,9 @@ def _connected_block_graph(G: Graph) -> bool:
     return G.is_connected() and is_block_graph(G)
 
 
-def verify_corollaries(
-    order_max: int,
-    tree_order_max: int = MAX_TREE_ORDER,
-    line_host_order_max: int = 7,
-    middle_host_order_max: int = 5,
-) -> VerificationReport:
+def verify_corollaries(order_max: int) -> VerificationReport:
     """Run every class-restricted equivalence exhaustively and aggregate."""
     _check_order(order_max)
-    if tree_order_max > MAX_TREE_ORDER:
-        raise GraphError(f"tree sweep capped at order {MAX_TREE_ORDER}")
-    if line_host_order_max > 7 or middle_host_order_max > 5:
-        raise GraphError("line hosts capped at order 7, middle hosts at order 5")
     phrasing_gaps = []
 
     def middle_criterion(H: Graph) -> bool:
@@ -200,19 +196,19 @@ def verify_corollaries(
         return ok
 
     report = _run(
-        f"corollary sweeps: trees<={tree_order_max}, classes<={order_max}, "
-        f"line hosts<={line_host_order_max}, middle hosts<={middle_host_order_max}",
+        f"corollary sweeps: trees<={MAX_TREE_ORDER}, classes<={order_max}, "
+        f"line hosts<={LINE_HOST_ORDER}, middle hosts<={MIDDLE_HOST_ORDER}",
         [
-            ("tree sweep: {} trees", enumerate_up_to(tree_order_max, "tree"), _tree_check),
+            ("tree sweep: {} trees", enumerate_up_to(MAX_TREE_ORDER, "tree"), _tree_check),
             ("chordal sweep: {} graphs", enumerate_up_to(order_max, is_chordal),
              _matches_theorem("chordal", chordal_corollary)),
             ("claw-free sweep: {} graphs", enumerate_up_to(order_max, is_claw_free),
              _matches_theorem("claw-free", claw_free_corollary)),
             ("block graph sweep: {} graphs", enumerate_up_to(order_max, _connected_block_graph),
              _matches_theorem("block", block_graph_corollary)),
-            ("line graph sweep: {} hosts", enumerate_up_to(line_host_order_max),
+            ("line graph sweep: {} hosts", enumerate_up_to(LINE_HOST_ORDER),
              _matches_theorem("line", line_graph_criterion, line_graph)),
-            ("middle graph sweep: {} hosts", enumerate_up_to(middle_host_order_max),
+            ("middle graph sweep: {} hosts", enumerate_up_to(MIDDLE_HOST_ORDER),
              _matches_theorem("middle", middle_criterion, middle_graph)),
         ],
     )

@@ -1,4 +1,4 @@
-"""graph6 parsing/emission, edge-list parsing and DOT export.
+"""graph6 parsing/emission and edge-list parsing.
 
 graph6 covers every order a ``Graph`` allows (n <= 64): the one-byte
 short-form header up to n = 62, the long form ("~" and three bytes) for
@@ -9,7 +9,7 @@ line "n", then one "u v" pair per line.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from domiperf.graph import MAX_ORDER, Graph, GraphError, build_graph
 
@@ -34,7 +34,6 @@ class GraphRecord:
 
     line_number: int
     graph: Graph
-    token: str
 
 
 def _triangle_pairs(n: int) -> Iterator[tuple[int, int]]:
@@ -113,7 +112,7 @@ def iter_graph6(lines: Iterable[str]) -> Iterator[GraphRecord]:
         if not token:
             continue
         try:
-            yield GraphRecord(lineno, parse_graph6(token), token)
+            yield GraphRecord(lineno, parse_graph6(token))
         except FormatError as exc:
             raise FormatError(f"line {lineno}: {exc}") from exc
 
@@ -143,17 +142,3 @@ def parse_edge_list(text: str) -> Graph:
         return build_graph(n, edges)
     except GraphError as exc:
         raise FormatError(str(exc)) from exc
-
-
-def emit_dot(G: Graph, labels: Sequence[str] | None = None) -> str:
-    """Render an undirected DOT graph for visual inspection of witnesses."""
-    if labels is not None and len(labels) != G.n:
-        raise GraphError("label count differs from order")
-    name = lambda v: labels[v] if labels is not None else str(v + 1)
-    lines = ["graph G {"]
-    for v in range(G.n):
-        lines.append(f'  "{name(v)}";')
-    for u, v in G.edges():
-        lines.append(f'  "{name(u)}" -- "{name(v)}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

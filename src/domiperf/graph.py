@@ -73,21 +73,11 @@ class Graph:
     def vertex_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def vertices(self) -> range:
-        return range(self.n)
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        return set_of(self.adj[v])
-
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(sorted(row.bit_count() for row in self.adj))
-
-    def closed(self, v: int) -> int:
-        """Closed neighborhood N[v] as a bitmask."""
-        return self.adj[v] | (1 << v)
 
     def closed_masks(self) -> list[int]:
         return [self.adj[v] | (1 << v) for v in range(self.n)]

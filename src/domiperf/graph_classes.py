@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from domiperf.graph import Graph, GraphError, bits, build_graph
+from domiperf.graph import MAX_ORDER, Graph, GraphError, bits, build_graph
 from domiperf.patterns import (
     contains_subgraph,
     forbidden_free,
@@ -293,8 +293,8 @@ def claw_free_corollary(G: Graph) -> bool:
 def line_graph(H: Graph) -> Graph:
     """Vertices are the edges of H in lexicographic endpoint order."""
     host_edges = H.edges()
-    if len(host_edges) > 64:
-        raise GraphError("line graph would exceed 64 vertices")
+    if len(host_edges) > MAX_ORDER:
+        raise GraphError(f"line graph would exceed {MAX_ORDER} vertices")
     out = []
     for a in range(len(host_edges)):
         for b in range(a + 1, len(host_edges)):
@@ -305,8 +305,8 @@ def line_graph(H: Graph) -> Graph:
 
 def corona_k1(H: Graph) -> Graph:
     """Attach one new pendant vertex to every vertex of H."""
-    if 2 * H.n > 64:
-        raise GraphError("corona would exceed 64 vertices")
+    if 2 * H.n > MAX_ORDER:
+        raise GraphError(f"corona would exceed {MAX_ORDER} vertices")
     edges = H.edges()
     edges.extend((v, H.n + v) for v in range(H.n))
     return build_graph(2 * H.n, edges)
@@ -320,13 +320,9 @@ def total_graph(H: Graph) -> Graph:
     """Vertices V(H) then E(H); adjacency per adjacency/adjacency/incidence."""
     host_edges = H.edges()
     n, m = H.n, len(host_edges)
-    if n + m > 64:
-        raise GraphError("total graph would exceed 64 vertices")
-    edges = list(host_edges)
-    for a in range(m):
-        for b in range(a + 1, m):
-            if set(host_edges[a]) & set(host_edges[b]):
-                edges.append((n + a, n + b))
+    if n + m > MAX_ORDER:
+        raise GraphError(f"total graph would exceed {MAX_ORDER} vertices")
+    edges = host_edges + [(n + a, n + b) for a, b in line_graph(H).edges()]
     for a, (u, v) in enumerate(host_edges):
         edges.append((u, n + a))
         edges.append((v, n + a))

@@ -1,8 +1,8 @@
 """Exact domination and independence solvers with optimal witness sets.
 
 Minimum dominating / independent dominating sets come from an
-increasing-cardinality search (greedy upper bound, coverage pruning) that
-visits candidate sets in lexicographic order, so the reported witness is the
+increasing-cardinality search with coverage pruning that visits candidate
+sets in lexicographic order, so the reported witness is the
 lexicographically smallest optimal set.  The search starts at the larger of
 ceil(n / (Delta + 1)) and the size of a greedy 2-packing (vertices pairwise at
 distance >= 3 need distinct dominators), which bounds both gamma and i.
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from domiperf.graph import Graph, GraphError, bits, mask_of
+from domiperf.graph import Graph, GraphError, bits
 
 
 @dataclass(frozen=True)
@@ -118,15 +118,6 @@ def independence_number(G: Graph) -> tuple[int, frozenset[int]]:
     return _lex_max_independent(G, G.closed_masks(), {})
 
 
-def max_independent_with(G: Graph, v: int) -> int:
-    """Largest independent set constrained to contain v."""
-    if not 0 <= v < G.n:
-        raise GraphError(f"vertex {v} outside 0..{G.n - 1}")
-    closed = G.closed_masks()
-    rest = G.vertex_mask & ~closed[v]
-    return 1 + _alpha_mask(G.adj, closed, rest, {})
-
-
 def common_independence_number(G: Graph) -> int:
     """Minimum over vertices of the largest independent set containing each."""
     if G.n == 0:
@@ -135,28 +126,6 @@ def common_independence_number(G: Graph) -> int:
 
 
 # -- minimum (independent) dominating set -----------------------------------
-
-def _greedy_cover_size(G: Graph) -> int:
-    closed = G.closed_masks()
-    uncovered = G.vertex_mask
-    size = 0
-    while uncovered:
-        best = max(range(G.n), key=lambda v: (closed[v] & uncovered).bit_count())
-        uncovered &= ~closed[best]
-        size += 1
-    return size
-
-
-def _greedy_maximal_independent_size(G: Graph) -> int:
-    closed = G.closed_masks()
-    allowed = G.vertex_mask
-    size = 0
-    while allowed:
-        v = (allowed & -allowed).bit_length() - 1
-        allowed &= ~closed[v]
-        size += 1
-    return size
-
 
 def _lex_dominating(G: Graph, k: int, independent: bool) -> list[int] | None:
     """Lexicographically first (independent) dominating set of size at most k."""
@@ -218,12 +187,11 @@ def _minimum_dominating(G: Graph, independent: bool) -> tuple[int, frozenset[int
         raise GraphError("domination undefined on the empty graph")
     maxdeg = max(G.degree(v) for v in range(G.n))
     lb = max(-(-G.n // (maxdeg + 1)), _packing_bound(G))
-    ub = _greedy_maximal_independent_size(G) if independent else _greedy_cover_size(G)
-    for k in range(lb, ub + 1):
+    # a maximal independent set dominates, so some k <= n succeeds
+    for k in range(lb, G.n + 1):
         found = _lex_dominating(G, k, independent)
         if found is not None:
             return len(found), frozenset(found)
-    raise AssertionError("greedy bound unreachable")  # pragma: no cover
 
 
 def domination_number(G: Graph) -> tuple[int, frozenset[int]]:
@@ -236,16 +204,7 @@ def independent_domination_number(G: Graph) -> tuple[int, frozenset[int]]:
     return _minimum_dominating(G, independent=True)
 
 
-# -- private neighborhoods and profiles -------------------------------------
-
-def private_neighborhood(G: Graph, v: int, S) -> frozenset[int]:
-    """Vertices whose closed neighborhood meets S exactly in {v}."""
-    smask = mask_of(S)
-    G._check_mask(smask)
-    if not smask >> v & 1:
-        raise GraphError(f"vertex {v} not in S")
-    return frozenset(w for w in range(G.n) if G.closed(w) & smask == 1 << v)
-
+# -- profiles ---------------------------------------------------------------
 
 def parameter_profile(G: Graph) -> ParameterProfile:
     """All four invariants with witnesses; the inequality chain is asserted."""

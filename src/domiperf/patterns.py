@@ -30,10 +30,9 @@ class Pattern:
 
 @dataclass(frozen=True)
 class Embedding:
-    """Injective pattern-to-host vertex map."""
+    """Injective pattern-to-host vertex map of an induced embedding."""
 
     mapping: tuple[int, ...]
-    mode: str  # "induced" | "subgraph"
 
     def check(self, host: Graph, pattern: Pattern) -> bool:
         pg = pattern.graph()
@@ -41,11 +40,7 @@ class Embedding:
             return False
         for p in range(pg.n):
             for q in range(p + 1, pg.n):
-                pe = pg.has_edge(p, q)
-                he = host.has_edge(self.mapping[p], self.mapping[q])
-                if pe and not he:
-                    return False
-                if self.mode == "induced" and not pe and he:
+                if pg.has_edge(p, q) != host.has_edge(self.mapping[p], self.mapping[q]):
                     return False
         return True
 
@@ -143,7 +138,7 @@ def _search(host: Graph, pattern: Pattern, induced: bool) -> tuple[int, ...] | N
 def find_induced(G: Graph, P: Pattern) -> Embedding | None:
     """First induced embedding of P in G (backtracking order), or None."""
     found = _search(G, P, induced=True)
-    return Embedding(found, "induced") if found is not None else None
+    return Embedding(found) if found is not None else None
 
 
 def contains_subgraph(G: Graph, P: Pattern) -> bool:

@@ -19,7 +19,7 @@ from domiperf.graph import Graph, GraphError, mask_of, set_of
 from domiperf.patterns import Embedding, Pattern, forbidden_free
 from domiperf.universe import MAX_ENUM_ORDER, enumerate_graphs
 
-DEFAULT_CAP = 16
+MAX_SWEEP_ORDER = 16
 
 
 @dataclass(frozen=True)
@@ -43,13 +43,12 @@ class SubgraphTables:
 
     gamma comes from exhaustive minimization over dominating subsets (the
     3^n subset-of-subset sweep), alpha from the standard include/exclude DP
-    on the lowest vertex.  Cost is exponential; capped at ``DEFAULT_CAP``
-    unless the caller raises it.
+    on the lowest vertex.  Cost is exponential; capped at ``MAX_SWEEP_ORDER``.
     """
 
-    def __init__(self, G: Graph, cap: int = DEFAULT_CAP):
-        if G.n > cap:
-            raise GraphError(f"order {G.n} exceeds the subset-sweep cap {cap}")
+    def __init__(self, G: Graph):
+        if G.n > MAX_SWEEP_ORDER:
+            raise GraphError(f"order {G.n} exceeds the subset-sweep cap {MAX_SWEEP_ORDER}")
         self.graph = G
         n = G.n
         size = 1 << n
@@ -106,10 +105,10 @@ def _ascending_subsets(n: int) -> tuple[int, ...]:
     return tuple(mask_of(c) for k in range(1, n + 1) for c in combinations(range(n), k))
 
 
-def _tables(G: Graph, cap: int, tables: SubgraphTables | None) -> SubgraphTables:
+def _tables(G: Graph, tables: SubgraphTables | None = None) -> SubgraphTables:
     if G.n == 0:
         raise GraphError("perfection undefined on the empty graph")
-    return tables if tables is not None else SubgraphTables(G, cap)
+    return tables if tables is not None else SubgraphTables(G)
 
 
 def _gap(t: SubgraphTables, s: int) -> bool:
@@ -130,18 +129,14 @@ def _scan(
     return PerfectionVerdict(False, method, SubsetWitness(set_of(s), t.gamma[s], t.common_ind(s)))
 
 
-def perfect_by_definition(
-    G: Graph, cap: int = DEFAULT_CAP, tables: SubgraphTables | None = None
-) -> PerfectionVerdict:
+def perfect_by_definition(G: Graph, tables: SubgraphTables | None = None) -> PerfectionVerdict:
     """Check gamma == alpha_c on every nonempty induced subgraph directly."""
-    return _scan(_tables(G, cap, tables), "definition", _gap)
+    return _scan(_tables(G, tables), "definition", _gap)
 
 
-def perfect_by_gamma2(
-    G: Graph, cap: int = DEFAULT_CAP, tables: SubgraphTables | None = None
-) -> PerfectionVerdict:
+def perfect_by_gamma2(G: Graph, tables: SubgraphTables | None = None) -> PerfectionVerdict:
     """Only induced subgraphs with gamma = 2 are tested; failure is alpha_c = 3."""
-    return _scan(_tables(G, cap, tables), "gamma2-definition", _gamma2_gap)
+    return _scan(_tables(G, tables), "gamma2-definition", _gamma2_gap)
 
 
 def perfect_by_theorem(G: Graph) -> PerfectionVerdict:
@@ -150,15 +145,13 @@ def perfect_by_theorem(G: Graph) -> PerfectionVerdict:
     return PerfectionVerdict(free, "theorem", witness)
 
 
-def is_minimal_imperfect(
-    G: Graph, cap: int = DEFAULT_CAP, tables: SubgraphTables | None = None
-) -> bool:
+def is_minimal_imperfect(G: Graph) -> bool:
     """gamma < alpha_c on G itself, equality on every proper induced subgraph.
 
     As gamma <= alpha_c always holds, that is: the definition scan's first gap
     is the whole vertex set.  The gap on G itself is tested first, as it is cheap.
     """
-    t = _tables(G, cap, tables)
+    t = _tables(G)
     return _gap(t, G.vertex_mask) and len(_scan(t, "definition", _gap).witness.vertices) == G.n
 
 

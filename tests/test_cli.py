@@ -5,9 +5,11 @@ import pytest
 from conftest import pattern_graph
 from domiperf.canon import canonical_form
 from domiperf.cli import main
+from domiperf.enumeration import MAX_ENUM_ORDER
 from domiperf.formats import emit_graph6, parse_graph6
-from domiperf.graph import complete_graph, cycle_graph, path_graph
+from domiperf.graph import build_graph, complete_graph, cycle_graph, path_graph
 from domiperf.graph_classes import corona_k1
+from domiperf.perfection import MAX_SWEEP_ORDER
 
 
 @pytest.fixture(autouse=True)
@@ -90,6 +92,28 @@ def test_verify_small_order(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["checked"] == 18 and report["counterexample_total"] == 0
+
+
+@pytest.mark.parametrize("order", [0, -2])
+def test_verify_rejects_orders_below_one(capsys, order):
+    code, out, err = _run(capsys, ["verify", "--order", str(order)])
+    assert (code, out) == (2, "")
+    assert "verification starts at order 1" in err
+
+
+def test_verify_above_enumeration_cap_exits_two_at_once(capsys):
+    # refused by the driver before any sweep, not by the universe after orders 1..8
+    code, out, err = _run(capsys, ["verify", "--order", str(MAX_ENUM_ORDER + 1)])
+    assert (code, out) == (2, "")
+    assert f"verification capped at order {MAX_ENUM_ORDER}" in err
+
+
+def test_classify_definition_above_sweep_cap_exits_two(tmp_path, capsys):
+    src = tmp_path / "in.g6"
+    src.write_text(emit_graph6(build_graph(MAX_SWEEP_ORDER + 1, [])) + "\n")
+    code, out, err = _run(capsys, ["classify", "--method", "definition", str(src)])
+    assert (code, out) == (2, "")
+    assert f"subset-sweep cap {MAX_SWEEP_ORDER}" in err
 
 
 def test_search_minimal(capsys):
@@ -189,8 +213,9 @@ def test_bad_workers_env_exits_two(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("DOMIPERF_WORKERS", "many")
     src = tmp_path / "in.g6"
     src.write_text("@\n")
-    code, _, err = _run(capsys, ["compute", str(src)])
+    code, _, err = _run(capsys, ["classify", str(src)])
     assert code == 2
+    assert "DOMIPERF_WORKERS" in err
 
 
 def test_usage_error(capsys):

@@ -16,7 +16,6 @@ from domiperf.enumeration import (
     enumerate_graphs,
     enumerate_up_to,
     verify_chain,
-    verify_corollaries,
     verify_theorem,
 )
 from domiperf.formats import parse_graph6
@@ -222,14 +221,6 @@ def test_verify_theorem_small():
 def test_verify_chain_small():
     report = verify_chain(5)
     assert report.clean and report.checked == 52
-
-
-def test_verify_corollaries_small():
-    report = verify_corollaries(
-        5, tree_order_max=7, line_host_order_max=4, middle_host_order_max=3
-    )
-    assert report.clean
-    assert any("tree sweep" in note for note in report.notes)
 
 
 def test_report_json_round_trips():

@@ -4,7 +4,6 @@ from hypothesis import given
 from conftest import graphs
 from domiperf.formats import (
     FormatError,
-    emit_dot,
     emit_graph6,
     iter_graph6,
     parse_edge_list,
@@ -134,16 +133,3 @@ def test_parse_edge_list_k1():
 def test_edge_list_errors(text):
     with pytest.raises(FormatError):
         parse_edge_list(text)
-
-
-def test_dot_output_for_k2():
-    dot = emit_dot(complete_graph(2))
-    assert dot.count("--") == 1
-    assert dot.startswith("graph G {")
-
-
-def test_dot_with_labels():
-    dot = emit_dot(complete_graph(2), labels=["a", "b"])
-    assert '"a" -- "b";' in dot
-    with pytest.raises(GraphError):
-        emit_dot(complete_graph(2), labels=["a"])

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 
 from conftest import graphs, pattern_graph
 from domiperf.graph import (
+    MAX_ORDER,
     GraphError,
     build_graph,
     complete_graph,
@@ -141,8 +142,29 @@ def test_constructions():
 
 
 def test_construction_caps():
-    with pytest.raises(GraphError):
-        corona_k1(build_graph(33, []))
+    # each construction stops exactly where its output would pass MAX_ORDER
+    k12 = [(u, v) for u in range(12) for v in range(u + 1, 12)]  # 66 edges
+    too_big = f"exceed {MAX_ORDER} vertices"
+    assert line_graph(build_graph(12, k12[:MAX_ORDER])).n == MAX_ORDER
+    with pytest.raises(GraphError, match=f"line graph would {too_big}"):
+        line_graph(build_graph(12, k12[:MAX_ORDER + 1]))
+    assert corona_k1(build_graph(MAX_ORDER // 2, [])).n == MAX_ORDER
+    with pytest.raises(GraphError, match=f"corona would {too_big}"):
+        corona_k1(build_graph(MAX_ORDER // 2 + 1, []))
+    assert total_graph(cycle_graph(MAX_ORDER // 2)).n == MAX_ORDER  # n + m = 32 + 32
+    with pytest.raises(GraphError, match=f"total graph would {too_big}"):
+        total_graph(path_graph(MAX_ORDER // 2 + 1))  # n + m = 33 + 32
+
+
+@given(graphs(max_n=7))
+@settings(max_examples=60, deadline=None)
+def test_total_graph_joins_host_and_line_graph(h):
+    # V(H) induces H, E(H) induces L(H), and each edge vertex sees its two ends
+    t = total_graph(h)
+    assert t.induced(range(h.n)) == h
+    assert t.induced(range(h.n, t.n)) == line_graph(h)
+    for a, (u, v) in enumerate(h.edges()):
+        assert t.adj[h.n + a] & h.vertex_mask == 1 << u | 1 << v
 
 
 def test_line_graph_criterion():

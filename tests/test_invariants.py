@@ -10,6 +10,7 @@ from domiperf.graph import (
     complete_graph,
     cycle_graph,
     path_graph,
+    set_of,
     star_graph,
 )
 from domiperf.invariants import (
@@ -21,9 +22,7 @@ from domiperf.invariants import (
     domination_number,
     independence_number,
     independent_domination_number,
-    max_independent_with,
     parameter_profile,
-    private_neighborhood,
     verify_witness,
 )
 
@@ -57,11 +56,12 @@ def test_independence_examples():
 
 
 def test_max_independent_with():
-    assert max_independent_with(complete_graph(5), 2) == 1
-    assert max_independent_with(pattern_graph("H1"), 0) == 3  # center, 1-based vertex 1
+    # per_vertex_ind[v]: the largest independent set containing v
+    assert parameter_profile(complete_graph(5)).per_vertex_ind[2] == 1
+    assert parameter_profile(pattern_graph("H1")).per_vertex_ind[0] == 3  # center, 1-based vertex 1
     # second vertex of P4: only non-neighbor is the far endpoint
-    assert max_independent_with(path_graph(4), 1) == 2
-    assert max_independent_with(path_graph(6), 1) == 3
+    assert parameter_profile(path_graph(4)).per_vertex_ind[1] == 2
+    assert parameter_profile(path_graph(6)).per_vertex_ind[1] == 3
 
 
 def test_common_independence_examples():
@@ -69,17 +69,6 @@ def test_common_independence_examples():
         assert common_independence_number(pattern_graph(f"H{k}")) == 3
     assert common_independence_number(complete_graph(7)) == 1
     assert common_independence_number(path_graph(4)) == 2
-
-
-def test_private_neighborhood():
-    p3 = path_graph(3)
-    assert private_neighborhood(p3, 1, {1}) == {0, 1, 2}
-    h1 = pattern_graph("H1")
-    assert private_neighborhood(h1, 0, {0, 4}) == {1, 2}  # 1-based {2,3}
-    k3 = complete_graph(3)
-    assert private_neighborhood(k3, 0, {0, 1}) == frozenset()
-    with pytest.raises(GraphError):
-        private_neighborhood(p3, 0, {1})
 
 
 def test_profile_examples():
@@ -154,7 +143,7 @@ def test_sparse_solvers_match_brute_force(g):
     assert p.ind == brute_independence(g)
     assert p.common_ind == brute_common_independence(g)
     for v in range(g.n):
-        rest = set(range(g.n)) - g.neighbors(v) - {v}
+        rest = set(range(g.n)) - set_of(g.adj[v]) - {v}
         assert p.per_vertex_ind[v] == 1 + brute_independence(g.induced(rest))
     _check_lexicographic_witnesses(g)
 

@@ -132,9 +132,9 @@ def test_induced_monotone_under_extra_vertices():
 
 def test_embedding_check_rejects_bad_maps():
     pat = pattern_by_name("P3")
-    assert not Embedding((0, 0, 1), "induced").check(path_graph(3), pat)
-    assert not Embedding((0, 2, 1), "induced").check(path_graph(3), pat)
-    assert Embedding((0, 1, 2), "induced").check(path_graph(3), pat)
+    assert not Embedding((0, 0, 1)).check(path_graph(3), pat)
+    assert not Embedding((0, 2, 1)).check(path_graph(3), pat)
+    assert Embedding((0, 1, 2)).check(path_graph(3), pat)
 
 
 def test_catalog_identities_are_checked_under_optimize():

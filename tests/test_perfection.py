@@ -9,7 +9,7 @@ from domiperf.graph import GraphError, build_graph, complete_graph, cycle_graph,
 from domiperf.invariants import brute_common_independence, brute_domination
 from domiperf.enumeration import enumerate_graphs, enumerate_up_to
 from domiperf.perfection import (
-    SubgraphTables,
+    MAX_SWEEP_ORDER,
     SubsetWitness,
     is_minimal_imperfect,
     perfect_by_definition,
@@ -59,8 +59,8 @@ def test_empty_graph_rejected():
 
 
 def test_cap_enforced():
-    with pytest.raises(GraphError):
-        perfect_by_definition(build_graph(17, []), cap=16)
+    with pytest.raises(GraphError, match=f"subset-sweep cap {MAX_SWEEP_ORDER}"):
+        perfect_by_definition(build_graph(MAX_SWEEP_ORDER + 1, []))
 
 
 def test_minimality_of_catalog():
@@ -68,11 +68,6 @@ def test_minimality_of_catalog():
         assert is_minimal_imperfect(pattern_graph(f"H{k}"))
     assert not is_minimal_imperfect(complete_graph(6))
     assert not is_minimal_imperfect(path_graph(5))
-
-
-def test_minimality_reuses_given_tables():
-    for g in (pattern_graph("H3"), complete_graph(6), path_graph(5), cycle_graph(5)):
-        assert is_minimal_imperfect(g, tables=SubgraphTables(g)) == is_minimal_imperfect(g)
 
 
 def test_search_minimal_small_orders():
