@@ -194,7 +194,7 @@ def cmd_search_minimal(args) -> int:
 def cmd_construct(args) -> int:
     records = _read_records(args)
     build = _CONSTRUCTIONS[args.construction]
-    _emit((emit_graph6(build(rec.graph)) for rec in records), args.output)
+    _emit([emit_graph6(build(rec.graph)) for rec in records], args.output)
     return EXIT_OK
 
 

@@ -13,7 +13,7 @@ from typing import Iterable, Iterator
 
 MAX_ORDER = 64
 
-#: Marker returned by distance/diameter for disconnected pairs.
+#: Marker returned by diameter for disconnected graphs.
 INFINITE = math.inf
 
 
@@ -76,9 +76,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(row.bit_count() for row in self.adj))
-
     def closed_masks(self) -> list[int]:
         return [self.adj[v] | (1 << v) for v in range(self.n)]
 
@@ -103,26 +100,6 @@ class Graph:
                     row |= 1 << index[u]
             rows.append(row)
         return Graph(len(keep), tuple(rows))
-
-    def distance(self, u: int, v: int) -> int | float:
-        """Breadth-first shortest-path length; INFINITE when disconnected."""
-        self._check_vertices((u, v))
-        if u == v:
-            return 0
-        seen = 1 << u
-        frontier = 1 << u
-        d = 0
-        while frontier:
-            d += 1
-            nxt = 0
-            for w in bits(frontier):
-                nxt |= self.adj[w]
-            nxt &= ~seen
-            if nxt >> v & 1:
-                return d
-            seen |= nxt
-            frontier = nxt
-        return INFINITE
 
     def eccentricity_masks(self, u: int) -> list[int]:
         """Bitmasks of vertices at BFS distance 0, 1, 2, ... from u."""
@@ -167,15 +144,8 @@ class Graph:
         out = []
         remaining = self.vertex_mask
         while remaining:
-            start = remaining & -remaining
-            comp = start
-            frontier = start
-            while frontier:
-                nxt = 0
-                for w in bits(frontier):
-                    nxt |= self.adj[w]
-                frontier = nxt & ~comp
-                comp |= frontier
+            # the BFS layers are disjoint, so their sum is the component
+            comp = sum(self.eccentricity_masks((remaining & -remaining).bit_length() - 1))
             out.append(set_of(comp))
             remaining &= ~comp
         return out

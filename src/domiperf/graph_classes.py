@@ -1,8 +1,9 @@
 """Recognizers and constructors for the graph classes behind the corollaries.
 
 Covers the tree taxonomy (star / spider / wounded spider / broom), chordal
-recognition by maximum-cardinality search, block decompositions, and the
-line / corona / middle / total constructions, together with the reduced
+recognition by maximum-cardinality search, block graphs (recognized as
+diamond-free chordal graphs, their blocks read off edge neighbourhoods), and
+the line / corona / middle / total constructions, together with the reduced
 forbidden-set criteria each class admits.
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from domiperf.graph import MAX_ORDER, Graph, GraphError, bits, build_graph
+from domiperf.graph import MAX_ORDER, Graph, GraphError, bits, build_graph, set_of
 from domiperf.patterns import (
     contains_subgraph,
     forbidden_free,
@@ -145,7 +146,10 @@ def is_chordal(G: Graph) -> bool:
     return True
 
 
-# -- blocks -----------------------------------------------------------------
+# -- block graphs -----------------------------------------------------------
+# A block graph is a chordal graph with no induced diamond K4 - e (Bandelt &
+# Mulder, "Distance-hereditary graphs", JCTB 1986).  In a block graph the
+# block that holds an edge uv is N[u] & N[v].
 
 @dataclass(frozen=True)
 class BlockDecomposition:
@@ -155,104 +159,48 @@ class BlockDecomposition:
     blocks_per_vertex: tuple[int, ...]
 
 
+def is_block_graph(G: Graph) -> bool:
+    """The common neighbours of every edge are pairwise adjacent, and G is chordal."""
+    for u, v in G.edges():
+        common = G.adj[u] & G.adj[v]
+        if any(common & ~G.adj[w] & ~(1 << w) for w in bits(common)):
+            return False
+    return is_chordal(G)
+
+
 def block_decomposition(G: Graph) -> BlockDecomposition:
-    """Blocks and cut vertices via iterative Hopcroft-Tarjan DFS.
+    """Blocks (ascending as masks) and cut vertices of a block graph.
 
     Isolated vertices count as their own (edgeless) blocks; a block touching
     no cut vertex is flagged "isolated", exactly one "end", two or more
-    "inner".
+    "inner".  Any other graph raises GraphError.
     """
-    n = G.n
-    disc = [-1] * n
-    low = [0] * n
-    parent = [-1] * n
-    cut = set()
-    blocks: list[frozenset[int]] = []
-    edge_stack: list[tuple[int, int]] = []
-
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        if G.degree(root) == 0:
-            blocks.append(frozenset((root,)))
-            disc[root] = 0
-            continue
-        timer = 0
-        stack = [(root, iter(bits(G.adj[root])))]
-        disc[root] = low[root] = timer
-        timer += 1
-        root_children = 0
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if disc[w] == -1:
-                    parent[w] = v
-                    edge_stack.append((v, w))
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    if v == root:
-                        root_children += 1
-                    stack.append((w, iter(bits(G.adj[w]))))
-                    advanced = True
-                    break
-                if w != parent[v] and disc[w] < disc[v]:
-                    edge_stack.append((v, w))
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                u = stack[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-                if low[v] >= disc[u]:
-                    members = set()
-                    while edge_stack:
-                        a, b = edge_stack.pop()
-                        members.add(a)
-                        members.add(b)
-                        if (a, b) == (u, v):
-                            break
-                    blocks.append(frozenset(members))
-                    if u != root or root_children > 1:
-                        cut.add(u)
-        # leftover edges (possible when root is in one block) were all popped above
-
-    per_vertex = [0] * n
-    for blk in blocks:
-        for v in blk:
-            per_vertex[v] += 1
+    if not is_block_graph(G):
+        raise GraphError("block decomposition expects a block graph")
+    closed = G.closed_masks()
+    masks = {closed[u] & closed[v] for u, v in G.edges()}
+    masks.update(1 << v for v in range(G.n) if not G.adj[v])
+    blocks = [set_of(mask) for mask in sorted(masks)]
+    per_vertex = [sum(v in blk for blk in blocks) for v in range(G.n)]
+    cut = frozenset(v for v in range(G.n) if per_vertex[v] >= 2)
     kinds = []
     for blk in blocks:
-        c = sum(1 for v in blk if v in cut)
+        c = len(blk & cut)
         kinds.append("isolated" if c == 0 else "end" if c == 1 else "inner")
-    return BlockDecomposition(tuple(blocks), frozenset(cut), tuple(kinds), tuple(per_vertex))
-
-
-def is_block_graph(G: Graph) -> bool:
-    """Every block induces a complete graph."""
-    dec = block_decomposition(G)
-    for blk in dec.blocks:
-        members = sorted(blk)
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                if not G.has_edge(members[i], members[j]):
-                    return False
-    return True
+    return BlockDecomposition(tuple(blocks), cut, tuple(kinds), tuple(per_vertex))
 
 
 def block_graph_corollary(G: Graph) -> bool:
     """Literal diameter-case characterization for connected block graphs."""
     if not G.is_connected() or G.n == 0:
         raise GraphError("block graph corollary expects a connected graph")
-    if not is_block_graph(G):
-        raise GraphError("block graph corollary expects a block graph")
+    try:
+        dec = block_decomposition(G)
+    except GraphError:
+        raise GraphError("block graph corollary expects a block graph") from None
     diam = G.diameter()
     if diam <= 2:
         return True
-    dec = block_decomposition(G)
     branchy = sum(1 for c in dec.blocks_per_vertex if c >= 3)
     if diam == 3:
         return branchy <= 1

@@ -60,10 +60,8 @@ _H_EDGES: dict[str, tuple[tuple[int, int], ...]] = {
 
 _UTILITY_EDGES: dict[str, tuple[int, tuple[tuple[int, int], ...]]] = {
     "CLAW": (4, ((1, 2), (1, 3), (1, 4))),
-    "P2": (2, ((1, 2),)),
     "P3": (3, ((1, 2), (2, 3))),
     "P4": (4, ((1, 2), (2, 3), (3, 4))),
-    "P5": (5, ((1, 2), (2, 3), (3, 4), (4, 5))),
     "P6": (6, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6))),
     "P7": (7, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7))),
     "C6": (6, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1))),

@@ -10,6 +10,7 @@ by leaf attachment, deduplicated by a center-rooted subtree code.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Callable, Iterator
 
 from domiperf.canon import certificate
@@ -18,25 +19,19 @@ from domiperf.graph import Graph, GraphError, bits, build_graph
 MAX_ENUM_ORDER = 8
 MAX_TREE_ORDER = 12
 
-_UNIVERSE_CACHE: dict[int, list[Graph]] = {}
-_TREE_CACHE: dict[int, list[Graph]] = {}
 
+@cache
 def _all_graphs(order: int) -> list[Graph]:
-    if order in _UNIVERSE_CACHE:
-        return _UNIVERSE_CACHE[order]
     if order == 1:
-        out = [build_graph(1, [])]
-    else:
-        k = order - 1
-        level: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for parent in _all_graphs(k):
-            rows = parent.adj
-            for nbmask in range(1 << k):
-                child = tuple([rows[v] | (nbmask >> v & 1) << k for v in range(k)] + [nbmask])
-                level.setdefault(certificate(child), child)
-        out = [Graph(order, level[cert]) for cert in sorted(level)]
-    _UNIVERSE_CACHE[order] = out
-    return out
+        return [build_graph(1, [])]
+    k = order - 1
+    level: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for parent in _all_graphs(k):
+        rows = parent.adj
+        for nbmask in range(1 << k):
+            child = tuple([rows[v] | (nbmask >> v & 1) << k for v in range(k)] + [nbmask])
+            level.setdefault(certificate(child), child)
+    return [Graph(order, level[cert]) for cert in sorted(level)]
 
 
 def _tree_code(G: Graph) -> str:
@@ -67,23 +62,20 @@ def _tree_code(G: Graph) -> str:
     return min(rooted(c, -1) for c in peel_centers())
 
 
+@cache
 def _all_trees(order: int) -> list[Graph]:
-    if order in _TREE_CACHE:
-        return _TREE_CACHE[order]
     if order == 1:
-        out = [build_graph(1, [])]
-    else:
-        out = []
-        seen = set()
-        for parent in _all_trees(order - 1):
-            k = order - 1
-            for v in range(k):
-                child = build_graph(order, parent.edges() + [(v, k)])
-                code = _tree_code(child)
-                if code not in seen:
-                    seen.add(code)
-                    out.append(child)
-    _TREE_CACHE[order] = out
+        return [build_graph(1, [])]
+    out = []
+    seen = set()
+    for parent in _all_trees(order - 1):
+        k = order - 1
+        for v in range(k):
+            child = build_graph(order, parent.edges() + [(v, k)])
+            code = _tree_code(child)
+            if code not in seen:
+                seen.add(code)
+                out.append(child)
     return out
 
 

@@ -149,6 +149,22 @@ def test_construct_corona_up_to_order_64(tmp_path, capsys):
     assert tokens[1].startswith("~")
 
 
+def test_construct_error_prints_no_records(tmp_path, capsys):
+    # the corona of P33 would have 66 vertices: the good P3 before it is not
+    # printed either, and no output file is left behind
+    src = tmp_path / "in.g6"
+    dst = tmp_path / "out.g6"
+    src.write_text("".join(emit_graph6(path_graph(n)) + "\n" for n in (3, 33)))
+    code, out, err = _run(capsys, ["construct", "--construction", "corona", str(src)])
+    assert (code, out) == (2, "")
+    assert "64" in err
+    code, out, _ = _run(
+        capsys, ["construct", "--construction", "corona", "--output", str(dst), str(src)]
+    )
+    assert (code, out) == (2, "")
+    assert not dst.exists()
+
+
 def test_compute_cycle_40(tmp_path, capsys):
     src = tmp_path / "in.g6"
     src.write_text(emit_graph6(cycle_graph(40)) + "\n")

@@ -1,7 +1,10 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 
 from conftest import graphs, pattern_graph
+from domiperf.enumeration import enumerate_up_to
 from domiperf.graph import (
     MAX_ORDER,
     GraphError,
@@ -133,7 +136,8 @@ def test_class_corollaries():
 
 def test_constructions():
     assert line_graph(star_graph(3)) == complete_graph(3)
-    assert corona_k1(complete_graph(2)).degree_sequence() == path_graph(4).degree_sequence()
+    corona = corona_k1(complete_graph(2))
+    assert sorted(corona.degree(v) for v in range(corona.n)) == [1, 1, 2, 2]
     m = middle_graph(complete_graph(2))
     assert (m.n, m.m) == (3, 2) and m.diameter() == 2  # P3
     assert line_graph(path_graph(7)) == path_graph(6)
@@ -201,8 +205,26 @@ def test_middle_criterion_matches_theorem(h):
     assert middle_graph_criterion(h) == perfect_by_theorem(middle_graph(h)).perfect
 
 
-@given(graphs(min_n=1, max_n=7))
-@settings(max_examples=30, deadline=None)
-def test_block_graphs_are_chordal(g):
-    if is_block_graph(g):
-        assert is_chordal(g)
+def test_block_code_matches_networkx_biconnected_components():
+    # independent oracle: networkx's biconnected components and articulation
+    # points, on every graph of order <= 7
+    nx = pytest.importorskip("networkx")
+    for g in enumerate_up_to(7):
+        h = nx.Graph(g.edges())
+        h.add_nodes_from(range(g.n))
+        comps = [frozenset(c) for c in nx.biconnected_components(h)]
+        cliques = all(g.has_edge(u, v) for c in comps for u, v in combinations(sorted(c), 2))
+        assert is_block_graph(g) == cliques
+        if cliques:
+            dec = block_decomposition(g)
+            isolated = {frozenset((v,)) for v in nx.isolates(h)}
+            assert set(dec.blocks) == set(comps) | isolated
+            assert len(dec.blocks) == len(comps) + len(isolated)
+            assert dec.cut_vertices == set(nx.articulation_points(h))
+
+
+def test_block_decomposition_rejects_non_block_graphs():
+    diamond = build_graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+    for g in (cycle_graph(4), cycle_graph(6), diamond):
+        with pytest.raises(GraphError, match="block graph"):
+            block_decomposition(g)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 import domiperf
-from conftest import graphs, pattern_graph
+from conftest import graphs
 from domiperf.graph import build_graph, complete_graph, cycle_graph, path_graph, star_graph
 from domiperf.graph_classes import corona_k1
 from domiperf.patterns import (
