@@ -15,6 +15,8 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from domiperf.formats import (
@@ -64,12 +66,26 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _map_ordered(fn: Callable, items: Sequence, workers: int) -> list:
-    """Apply fn to items, possibly in parallel, preserving input order."""
-    if workers <= 1 or len(items) < 2 * workers:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def _map_records(
+    fn: Callable, located: Sequence[tuple[str, GraphRecord]], workers: int = 1
+) -> list:
+    """fn over each record in input order, on a process pool if ``workers`` > 1.
+
+    Results arrive in input order, so an error belongs to the record after the
+    last result; it is re-raised naming that record's file and line.
+    """
+    records = [rec for _, rec in located]
+    results: list = []
+    parallel = workers > 1 and len(records) >= 2 * workers
+    with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
+        try:
+            for result in pool.map(fn, records) if pool else map(fn, records):
+                results.append(result)
+        except GraphError as exc:
+            path, rec = located[len(results)]
+            where = f"{path}: line {rec.line_number}" if path else f"line {rec.line_number}"
+            raise GraphError(f"{where}: {exc}") from exc
+    return results
 
 
 def _parse_records(text: str, fmt: str) -> list[GraphRecord]:
@@ -78,19 +94,19 @@ def _parse_records(text: str, fmt: str) -> list[GraphRecord]:
     return list(iter_graph6(text.splitlines()))
 
 
-def _read_records(args) -> list[GraphRecord]:
-    """Records of stdin, or of each file parsed on its own (line numbers per file)."""
+def _read_records(args) -> list[tuple[str, GraphRecord]]:
+    """(file, record) pairs of stdin (file "") or of each file parsed on its own."""
     if not args.files:
-        return _parse_records(sys.stdin.read(), args.format)
-    records = []
+        return [("", rec) for rec in _parse_records(sys.stdin.read(), args.format)]
+    located = []
     for path in args.files:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
         try:
-            records.extend(_parse_records(text, args.format))
+            located.extend((path, rec) for rec in _parse_records(text, args.format))
         except FormatError as exc:
             raise FormatError(f"{path}: {exc}") from exc
-    return records
+    return located
 
 
 def _one_based(S: Iterable[int]) -> list[int]:
@@ -151,21 +167,18 @@ def _verdict_json(rec: GraphRecord, verdict: PerfectionVerdict) -> dict:
 
 
 def cmd_compute(args) -> int:
-    records = _read_records(args)
-    _emit([_compute_record(rec) for rec in records], args.output)
+    _emit(_map_records(_compute_record, _read_records(args)), args.output)
     return EXIT_OK
 
 
-def _classify_record(item: tuple[GraphRecord, str]) -> tuple[str, bool]:
-    rec, method = item
+def _classify_record(rec: GraphRecord, method: str) -> tuple[str, bool]:
     verdict = _METHODS[method](rec.graph)
     return json.dumps(_verdict_json(rec, verdict), sort_keys=True), verdict.perfect
 
 
 def cmd_classify(args) -> int:
-    records = _read_records(args)
-    results = _map_ordered(
-        _classify_record, [(rec, args.method) for rec in records], _worker_count()
+    results = _map_records(
+        partial(_classify_record, method=args.method), _read_records(args), _worker_count()
     )
     _emit((line for line, _ in results), args.output)
     return EXIT_OK if all(ok for _, ok in results) else EXIT_NEGATIVE
@@ -192,9 +205,9 @@ def cmd_search_minimal(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    records = _read_records(args)
     build = _CONSTRUCTIONS[args.construction]
-    _emit([emit_graph6(build(rec.graph)) for rec in records], args.output)
+    results = _map_records(lambda rec: emit_graph6(build(rec.graph)), _read_records(args))
+    _emit(results, args.output)
     return EXIT_OK
 
 

@@ -1,16 +1,17 @@
 """Recognizers and constructors for the graph classes behind the corollaries.
 
-Covers the tree taxonomy (star / spider / wounded spider / broom), chordal
-recognition by maximum-cardinality search, block graphs (recognized as
-diamond-free chordal graphs, their blocks read off edge neighbourhoods), and
-the line / corona / middle / total constructions, together with the reduced
-forbidden-set criteria each class admits.
+Covers the tree taxonomy (star / spider / wounded spider / broom) read off one
+leg profile, chordal recognition by simplicial elimination, block graphs
+(recognized as diamond-free chordal graphs, their blocks read off edge
+neighbourhoods), and the line / corona / middle / total constructions,
+together with the reduced forbidden-set criteria each class admits.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import combinations
 
 from domiperf.graph import MAX_ORDER, Graph, GraphError, bits, build_graph, set_of
 from domiperf.patterns import (
@@ -35,21 +36,8 @@ class TreeClass(enum.Enum):
     OTHER = "other"
 
 
-# precedence: a nontrivial star is also a wounded spider; the specific label wins
-_PRECEDENCE = [
-    TreeClass.SINGLETON,
-    TreeClass.STAR,
-    TreeClass.SPIDER,
-    TreeClass.WOUNDED_SPIDER,
-    TreeClass.BROOM3,
-]
-
-
-def _leg_lengths(G: Graph, center: int) -> list[int] | None:
-    """Path lengths of the branches hanging off ``center``, or None if some
-    branch is not a bare path."""
-    if any(v != center and G.degree(v) > 2 for v in range(G.n)):
-        return None
+def _leg_lengths(G: Graph, center: int) -> list[int]:
+    """Sorted lengths of the paths off ``center``; the other vertices have degree <= 2."""
     legs = []
     for first in bits(G.adj[center]):
         length = 1
@@ -61,42 +49,35 @@ def _leg_lengths(G: Graph, center: int) -> list[int] | None:
             prev, cur = cur, (nxt & -nxt).bit_length() - 1
             length += 1
         legs.append(length)
-    return legs
-
-
-def _classes_from_legs(legs: list[int]) -> set[TreeClass]:
-    k = len(legs)
-    out: set[TreeClass] = set()
-    if k == 0:
-        return out
-    ones = legs.count(1)
-    twos = legs.count(2)
-    threes = legs.count(3)
-    if ones == k:
-        out.add(TreeClass.STAR)
-    if twos == k:
-        out.add(TreeClass.SPIDER)
-    if ones + twos == k and twos <= k - 1:
-        out.add(TreeClass.WOUNDED_SPIDER)
-    if k >= 2 and threes == 1 and ones == k - 1:
-        out.add(TreeClass.BROOM3)
-    return out
+    return sorted(legs)
 
 
 def classify_tree(G: Graph) -> TreeClass:
-    """Most specific taxonomy label of a tree; non-trees are rejected."""
+    """Most specific taxonomy label of a tree; non-trees are rejected.
+
+    The labelled families are subdivided stars, so the leg profile at the
+    centre decides: the centre is the one vertex of degree >= 3, or on a path
+    a middle vertex (the one whose longest leg is shortest).
+    """
     if not G.is_tree():
         raise GraphError("classify_tree expects a tree")
     if G.n == 1:
         return TreeClass.SINGLETON
-    reachable: set[TreeClass] = set()
-    for center in range(G.n):
-        legs = _leg_lengths(G, center)
-        if legs is not None:
-            reachable |= _classes_from_legs(legs)
-    for cls in _PRECEDENCE:
-        if cls in reachable:
-            return cls
+    hubs = [v for v in range(G.n) if G.degree(v) >= 3]
+    if len(hubs) >= 2:
+        return TreeClass.OTHER
+    centre = hubs[0] if hubs else min(range(G.n), key=lambda v: max(_leg_lengths(G, v)))
+    legs = _leg_lengths(G, centre)
+    # The order of the tests encodes the precedence: a star is also a wounded
+    # spider, and the specific label wins.
+    if set(legs) == {1}:
+        return TreeClass.STAR
+    if set(legs) == {2}:
+        return TreeClass.SPIDER
+    if set(legs) == {1, 2}:
+        return TreeClass.WOUNDED_SPIDER
+    if legs == [1] * (len(legs) - 1) + [3]:
+        return TreeClass.BROOM3
     return TreeClass.OTHER
 
 
@@ -113,36 +94,18 @@ def tree_corollary_conditions(G: Graph) -> tuple[bool, bool, bool, bool]:
 
 # -- chordal recognition ----------------------------------------------------
 
-def _mcs_order(G: Graph) -> list[int]:
-    """Maximum-cardinality search visiting order (a candidate reverse PEO)."""
-    weights = [0] * G.n
-    visited = 0
-    order = []
-    for _ in range(G.n):
-        v = max(
-            (u for u in range(G.n) if not visited >> u & 1),
-            key=lambda u: (weights[u], -u),
-        )
-        order.append(v)
-        visited |= 1 << v
-        for w in bits(G.adj[v] & ~visited):
-            weights[w] += 1
-    return order
-
-
 def is_chordal(G: Graph) -> bool:
-    """Chordality via MCS plus explicit simpliciality verification."""
-    if G.n == 0:
-        return True
-    order = _mcs_order(G)
-    position = {v: i for i, v in enumerate(order)}
-    for i in range(G.n - 1, -1, -1):
-        v = order[i]
-        earlier = [u for u in bits(G.adj[v]) if position[u] < i]
-        for a in range(len(earlier)):
-            for b in range(a + 1, len(earlier)):
-                if not G.has_edge(earlier[a], earlier[b]):
-                    return False
+    """G is chordal iff deleting simplicial vertices one at a time empties it
+    (Dirac, "On rigid circuit graphs", 1961; Fulkerson & Gross, 1965)."""
+    left = G.vertex_mask
+    while left:
+        for v in bits(left):
+            nb = G.adj[v] & left
+            if all(nb & ~G.adj[u] == 1 << u for u in bits(nb)):
+                left ^= 1 << v
+                break
+        else:
+            return False
     return True
 
 
@@ -243,11 +206,7 @@ def line_graph(H: Graph) -> Graph:
     host_edges = H.edges()
     if len(host_edges) > MAX_ORDER:
         raise GraphError(f"line graph would exceed {MAX_ORDER} vertices")
-    out = []
-    for a in range(len(host_edges)):
-        for b in range(a + 1, len(host_edges)):
-            if set(host_edges[a]) & set(host_edges[b]):
-                out.append((a, b))
+    out = [(a, b) for (a, e), (b, f) in combinations(enumerate(host_edges), 2) if set(e) & set(f)]
     return build_graph(len(host_edges), out)
 
 
@@ -286,12 +245,7 @@ def line_graph_criterion(H: Graph) -> bool:
 
 def middle_graph_criterion(H: Graph) -> bool:
     """First-clause reading: H has no two vertex-disjoint edges."""
-    host_edges = H.edges()
-    for a in range(len(host_edges)):
-        for b in range(a + 1, len(host_edges)):
-            if not set(host_edges[a]) & set(host_edges[b]):
-                return False
-    return True
+    return all(set(e) & set(f) for e, f in combinations(H.edges(), 2))
 
 
 def middle_graph_star_phrasing(H: Graph) -> bool:

@@ -105,12 +105,6 @@ def _ascending_subsets(n: int) -> tuple[int, ...]:
     return tuple(mask_of(c) for k in range(1, n + 1) for c in combinations(range(n), k))
 
 
-def _tables(G: Graph, tables: SubgraphTables | None = None) -> SubgraphTables:
-    if G.n == 0:
-        raise GraphError("perfection undefined on the empty graph")
-    return tables if tables is not None else SubgraphTables(G)
-
-
 def _gap(t: SubgraphTables, s: int) -> bool:
     return t.gamma[s] != t.common_ind(s)
 
@@ -131,12 +125,12 @@ def _scan(
 
 def perfect_by_definition(G: Graph, tables: SubgraphTables | None = None) -> PerfectionVerdict:
     """Check gamma == alpha_c on every nonempty induced subgraph directly."""
-    return _scan(_tables(G, tables), "definition", _gap)
+    return _scan(tables or SubgraphTables(G), "definition", _gap)
 
 
 def perfect_by_gamma2(G: Graph, tables: SubgraphTables | None = None) -> PerfectionVerdict:
     """Only induced subgraphs with gamma = 2 are tested; failure is alpha_c = 3."""
-    return _scan(_tables(G, tables), "gamma2-definition", _gamma2_gap)
+    return _scan(tables or SubgraphTables(G), "gamma2-definition", _gamma2_gap)
 
 
 def perfect_by_theorem(G: Graph) -> PerfectionVerdict:
@@ -150,9 +144,12 @@ def is_minimal_imperfect(G: Graph) -> bool:
 
     As gamma <= alpha_c always holds, that is: the definition scan's first gap
     is the whole vertex set.  The gap on G itself is tested first, as it is cheap.
+    K0 has no nonempty induced subgraph, so it is perfect, not minimal imperfect.
     """
-    t = _tables(G)
-    return _gap(t, G.vertex_mask) and len(_scan(t, "definition", _gap).witness.vertices) == G.n
+    t = SubgraphTables(G)
+    return G.n > 0 and _gap(t, G.vertex_mask) and (
+        len(_scan(t, "definition", _gap).witness.vertices) == G.n
+    )
 
 
 def search_minimal_imperfect(order: int) -> list[Graph]:

@@ -110,10 +110,40 @@ def test_verify_above_enumeration_cap_exits_two_at_once(capsys):
 
 def test_classify_definition_above_sweep_cap_exits_two(tmp_path, capsys):
     src = tmp_path / "in.g6"
-    src.write_text(emit_graph6(build_graph(MAX_SWEEP_ORDER + 1, [])) + "\n")
+    src.write_text("@\n\n" + emit_graph6(build_graph(MAX_SWEEP_ORDER + 1, [])) + "\n")
     code, out, err = _run(capsys, ["classify", "--method", "definition", str(src)])
     assert (code, out) == (2, "")
-    assert f"subset-sweep cap {MAX_SWEEP_ORDER}" in err
+    assert f"{src}: line 3: order {MAX_SWEEP_ORDER + 1} exceeds the subset-sweep cap" in err
+
+
+def test_computation_error_names_line_on_stdin(capsys, monkeypatch):
+    code, out, err = _run(capsys, ["compute"], stdin="@\n?\n", monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err == "domiperf: line 2: parameter profile undefined on the empty graph\n"
+
+
+def test_pool_error_names_file_and_line(tmp_path, capsys, monkeypatch):
+    # two workers over five records: the pool path, not the in-process one
+    monkeypatch.setenv("DOMIPERF_WORKERS", "2")
+    src = tmp_path / "in.g6"
+    tokens = [emit_graph6(path_graph(n)) for n in (2, 3, 4)]
+    tokens[2:2] = [emit_graph6(build_graph(MAX_SWEEP_ORDER + 1, []))] * 2
+    src.write_text("".join(t + "\n" for t in tokens))
+    code, out, err = _run(capsys, ["classify", "--method", "gamma2", str(src)])
+    assert (code, out) == (2, "")
+    assert f"{src}: line 3: order {MAX_SWEEP_ORDER + 1}" in err
+
+
+@pytest.mark.parametrize("fmt, text", [("graph6", "?\n"), ("edges", "0\n")])
+def test_classify_order_zero_by_each_method(tmp_path, capsys, fmt, text):
+    # K0 is vacuously perfect: every method says so
+    src = tmp_path / "k0.in"
+    src.write_text(text)
+    for method in ("definition", "gamma2", "theorem"):
+        code, out, err = _run(capsys, ["classify", "--format", fmt, "--method", method, str(src)])
+        assert (code, err) == (0, "")
+        rec = json.loads(out)
+        assert (rec["token"], rec["verdict"], "witness" in rec) == ("?", "perfect", False)
 
 
 def test_search_minimal(capsys):
@@ -157,7 +187,7 @@ def test_construct_error_prints_no_records(tmp_path, capsys):
     src.write_text("".join(emit_graph6(path_graph(n)) + "\n" for n in (3, 33)))
     code, out, err = _run(capsys, ["construct", "--construction", "corona", str(src)])
     assert (code, out) == (2, "")
-    assert "64" in err
+    assert f"{src}: line 2: corona would exceed 64 vertices" in err
     code, out, _ = _run(
         capsys, ["construct", "--construction", "corona", "--output", str(dst), str(src)]
     )

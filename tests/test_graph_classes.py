@@ -1,3 +1,5 @@
+import importlib.util
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -66,6 +68,25 @@ def test_classify_tree_examples():
     assert classify_tree(ws) is TreeClass.WOUNDED_SPIDER
 
 
+def test_tree_label_counts_match_closed_forms():
+    # a labelled tree is a subdivided star, fixed up to isomorphism by its order
+    # and its number of subdivided legs; counted over all 987 trees of order <= 12
+    counts = Counter((t.n, classify_tree(t)) for t in enumerate_up_to(12, "tree"))
+    assert sum(counts.values()) == 987
+    expected = {(1, TreeClass.SINGLETON): 1}
+    expected.update({(n, TreeClass.STAR): 1 for n in range(2, 13)})
+    expected.update({(n, TreeClass.SPIDER): 1 for n in range(5, 12, 2)})
+    expected.update({(n, TreeClass.BROOM3): 1 for n in range(6, 13)})
+    expected.update({(n, TreeClass.WOUNDED_SPIDER): (n - 2) // 2 for n in range(4, 13)})
+    labelled = {key: c for key, c in counts.items() if key[1] is not TreeClass.OTHER}
+    assert labelled == expected
+    totals = Counter()
+    for (_, cls), c in labelled.items():
+        totals[cls] += c
+    assert [totals[c] for c in (TreeClass.STAR, TreeClass.SPIDER, TreeClass.BROOM3,
+                                TreeClass.WOUNDED_SPIDER)] == [11, 4, 7, 25]
+
+
 def test_classify_tree_rejects_non_trees():
     with pytest.raises(GraphError):
         classify_tree(cycle_graph(4))
@@ -85,6 +106,34 @@ def test_is_chordal():
     assert is_chordal(complete_graph(5))
     # C4 plus a chord is chordal
     assert is_chordal(build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]))
+
+
+def _networkx_chordal(g):
+    import networkx as nx
+
+    h = nx.Graph(g.edges())
+    h.add_nodes_from(range(g.n))
+    return nx.is_chordal(h)
+
+
+needs_networkx = pytest.mark.skipif(
+    importlib.util.find_spec("networkx") is None, reason="networkx oracle not installed"
+)
+
+
+@needs_networkx
+def test_is_chordal_matches_networkx_up_to_order_7():
+    universe = list(enumerate_up_to(7))
+    assert len(universe) == 1252
+    for g in universe:
+        assert is_chordal(g) == _networkx_chordal(g)
+
+
+@needs_networkx
+@given(graphs(max_n=14))
+@settings(max_examples=200, deadline=None)
+def test_is_chordal_matches_networkx(g):
+    assert is_chordal(g) == _networkx_chordal(g)
 
 
 def test_block_decomposition_p4():

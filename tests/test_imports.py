@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -33,3 +34,32 @@ def test_no_unused_top_level_imports():
         if unused:
             found[str(path.relative_to(ROOT))] = unused
     assert found == {}
+
+
+# Traced names the package no longer defines: a traced run records no spans
+# for them, and the per-layer metrics built from those spans read 0.
+TRACED_BUT_GONE = {
+    "domiperf.invariants.max_independent_with",
+    "domiperf.formats.emit_edge_list",
+    "domiperf.formats.emit_dot",
+}
+
+
+def test_benchmark_traced_names_resolve():
+    # read perfbench's TRACED table as data; each name must still be defined
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    traced = next(
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)
+    )
+    gone = set()
+    for module, names in traced.items():
+        mod = importlib.import_module(module)
+        for name in names:
+            # "Class.method" is looked up in the class's own namespace
+            cls_name, _, attr = name.rpartition(".")
+            scope = vars(getattr(mod, cls_name)) if cls_name else vars(mod)
+            if not callable(scope.get(attr)):
+                gone.add(f"{module}.{name}")
+    assert gone == TRACED_BUT_GONE

@@ -52,10 +52,12 @@ def test_theorem_examples():
     assert perfect_by_theorem(build_graph(5, [(0, 1), (2, 3)])).perfect
 
 
-def test_empty_graph_rejected():
-    for fn in (perfect_by_definition, perfect_by_gamma2, is_minimal_imperfect):
-        with pytest.raises(GraphError):
-            fn(build_graph(0, []))
+def test_empty_graph_is_perfect():
+    # perfection quantifies over nonempty induced subgraphs; K0 has none
+    k0 = build_graph(0, [])
+    for fn in (perfect_by_definition, perfect_by_gamma2, perfect_by_theorem):
+        assert fn(k0).perfect and fn(k0).witness is None
+    assert not is_minimal_imperfect(k0)
 
 
 def test_cap_enforced():
@@ -88,7 +90,7 @@ def test_imperfect_witness_reverifies():
         assert common_independence_number(sub) == v.witness.common_ind
 
 
-@given(graphs(min_n=1, max_n=7))
+@given(graphs(min_n=0, max_n=7))
 @settings(max_examples=25, deadline=None)
 def test_three_methods_agree(g):
     a = perfect_by_definition(g).perfect
@@ -133,13 +135,13 @@ def _check_scans_by_brute_force(g):
 
 
 def test_scans_match_brute_force_in_ascending_order():
-    cases = list(enumerate_up_to(6))
-    assert len(cases) == 208
+    cases = [build_graph(0, [])] + list(enumerate_up_to(6))
+    assert len(cases) == 1 + 208
     # At order <= 6 an imperfect graph is one of H1..H10 and has one gap.  The
     # 201 imperfect graphs of order 7 have gaps of sizes 6 and 7 (order by size);
     # random graphs of order 8 tell lexicographic from integer order.
     cases += [g for g in enumerate_graphs(7) if not perfect_by_theorem(g).perfect]
-    assert len(cases) == 208 + 201
+    assert len(cases) == 1 + 208 + 201
     rng = random.Random(8)
     pairs = list(combinations(range(8), 2))
     cases += [build_graph(8, [p for p in pairs if rng.random() < 0.5]) for _ in range(30)]
