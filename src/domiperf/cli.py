@@ -3,9 +3,9 @@
 One JSON record per input graph on stdout; witness vertex sets use 1-based
 labels matching the edge-list convention.  Exit codes: 0 success/verified,
 1 a property fails or a counterexample exists, 2 usage or parse errors.
-``classify`` maps its records over a process pool; DOMIPERF_WORKERS overrides
-its worker count.  ``compute`` is cheaper per graph than the pool's overhead
-and runs in this process.
+``classify`` maps its records over a process pool; DOMIPERF_WORKERS, a positive
+integer, overrides its worker count.  ``compute`` is cheaper per graph than the
+pool's overhead and runs in this process.
 """
 
 from __future__ import annotations
@@ -58,12 +58,15 @@ _CONSTRUCTIONS = {
 
 def _worker_count() -> int:
     env = os.environ.get("DOMIPERF_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise FormatError(f"DOMIPERF_WORKERS is not a number: {env!r}") from None
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise FormatError(f"DOMIPERF_WORKERS is not a positive integer: {env!r}")
+    return workers
 
 
 def _map_records(

@@ -34,16 +34,6 @@ class Embedding:
 
     mapping: tuple[int, ...]
 
-    def check(self, host: Graph, pattern: Pattern) -> bool:
-        pg = pattern.graph()
-        if len(set(self.mapping)) != pg.n:
-            return False
-        for p in range(pg.n):
-            for q in range(p + 1, pg.n):
-                if pg.has_edge(p, q) != host.has_edge(self.mapping[p], self.mapping[q]):
-                    return False
-        return True
-
 
 _H_EDGES: dict[str, tuple[tuple[int, int], ...]] = {
     "H1": ((1, 2), (1, 3), (1, 5), (4, 5), (5, 6)),
@@ -91,10 +81,9 @@ def forbidden_catalog() -> tuple[Pattern, ...]:
 
 
 def pattern_by_name(name: str) -> Pattern:
-    """Look up a catalog pattern; tokens are case-insensitive, 2P3 == TWO_P3."""
-    key = name.strip().upper().replace("2P", "TWO_P")
+    """Look up a catalog pattern by its exact name."""
     for p in catalog():
-        if p.name == key:
+        if p.name == name:
             return p
     raise KeyError(f"unknown pattern {name!r}")
 

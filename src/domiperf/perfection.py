@@ -59,7 +59,6 @@ class SubgraphTables:
         for m in range(1, size):
             lb = m & -m
             ncl[m] = ncl[m ^ lb] | closed[lb.bit_length() - 1]
-        self._ncl = ncl
 
         alpha = [0] * size
         for m in range(1, size):

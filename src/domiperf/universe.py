@@ -1,82 +1,64 @@
 """Universes of non-isomorphic graphs and trees, one representative per class.
 
-Graph universes grow one vertex at a time: every representative of the
-previous order gets a new vertex joined to each subset of its vertices, and
-the children are deduplicated by their canonical certificate
-(:mod:`domiperf.canon`).  Each class keeps the first child that reached it,
-and a universe lists its classes in ascending certificate order.  Trees grow
-by leaf attachment, deduplicated by a center-rooted subtree code.
+Both grow by one step, ``_grow``: each representative of the previous order
+gets a new vertex joined to each allowed mask, and each class keeps the first
+child (adjacency rows) that reached it.  Graphs join every subset and list
+their classes in ascending canonical certificate (:mod:`domiperf.canon`).
+Trees attach a leaf, deduplicate by a centre-rooted code and keep first-seen
+order.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from domiperf.canon import certificate
-from domiperf.graph import Graph, GraphError, bits, build_graph
+from domiperf.graph import Graph, GraphError, bits
 
 MAX_ENUM_ORDER = 8
 MAX_TREE_ORDER = 12
 
 
+def _grow(parents: list[Graph], masks: Callable[[int], Iterable[int]], key: Callable) -> dict:
+    """The first child per key; a parent of order k gets vertex k joined to each of masks(k)."""
+    level: dict = {}
+    for parent in parents:
+        rows, k = parent.adj, parent.n
+        for nbmask in masks(k):
+            child = tuple([rows[v] | (nbmask >> v & 1) << k for v in range(k)] + [nbmask])
+            level.setdefault(key(child), child)
+    return level
+
+
 @cache
 def _all_graphs(order: int) -> list[Graph]:
     if order == 1:
-        return [build_graph(1, [])]
-    k = order - 1
-    level: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for parent in _all_graphs(k):
-        rows = parent.adj
-        for nbmask in range(1 << k):
-            child = tuple([rows[v] | (nbmask >> v & 1) << k for v in range(k)] + [nbmask])
-            level.setdefault(certificate(child), child)
+        return [Graph(1, (0,))]
+    level = _grow(_all_graphs(order - 1), lambda k: range(1 << k), certificate)
     return [Graph(order, level[cert]) for cert in sorted(level)]
 
 
-def _tree_code(G: Graph) -> str:
-    """Rooted-subtree code minimized over the tree's one or two centers."""
-    if G.n == 1:
-        return "()"
-
-    def peel_centers() -> list[int]:
-        degrees = [G.degree(v) for v in range(G.n)]
-        alive = set(range(G.n))
-        leaves = [v for v in alive if degrees[v] <= 1]
-        while len(alive) > 2:
-            nxt = []
-            for v in leaves:
-                alive.discard(v)
-                for u in bits(G.adj[v]):
-                    if u in alive:
-                        degrees[u] -= 1
-                        if degrees[u] == 1:
-                            nxt.append(u)
-            leaves = nxt
-        return sorted(alive)
+def _tree_code(rows: tuple[int, ...]) -> str:
+    """Rooted-subtree code minimized over the tree's one or two centres."""
+    # the centres: strip every leaf at once until at most two vertices remain (Jordan, 1869)
+    alive = (1 << len(rows)) - 1
+    while alive.bit_count() > 2:
+        alive &= ~sum(1 << v for v in bits(alive) if (rows[v] & alive).bit_count() == 1)
 
     def rooted(v: int, parent: int) -> str:
-        subs = sorted(rooted(u, v) for u in bits(G.adj[v]) if u != parent)
+        subs = sorted(rooted(u, v) for u in bits(rows[v]) if u != parent)
         return "(" + "".join(subs) + ")"
 
-    return min(rooted(c, -1) for c in peel_centers())
+    return min(rooted(c, -1) for c in bits(alive))
 
 
 @cache
 def _all_trees(order: int) -> list[Graph]:
     if order == 1:
-        return [build_graph(1, [])]
-    out = []
-    seen = set()
-    for parent in _all_trees(order - 1):
-        k = order - 1
-        for v in range(k):
-            child = build_graph(order, parent.edges() + [(v, k)])
-            code = _tree_code(child)
-            if code not in seen:
-                seen.add(code)
-                out.append(child)
-    return out
+        return [Graph(1, (0,))]
+    level = _grow(_all_trees(order - 1), lambda k: [1 << v for v in range(k)], _tree_code)
+    return [Graph(order, rows) for rows in level.values()]
 
 
 def enumerate_graphs(

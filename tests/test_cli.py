@@ -255,8 +255,9 @@ def test_missing_file_exits_two(capsys):
     assert code == 2 and "domiperf:" in err
 
 
-def test_bad_workers_env_exits_two(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("DOMIPERF_WORKERS", "many")
+@pytest.mark.parametrize("value", ["many", "0", "-3"])
+def test_bad_workers_env_exits_two(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("DOMIPERF_WORKERS", value)
     src = tmp_path / "in.g6"
     src.write_text("@\n")
     code, _, err = _run(capsys, ["classify", str(src)])

@@ -97,26 +97,42 @@ def test_graph_counts_against_labeled_dedup_oracle():
         assert len(tokens) == SMALL_COUNTS[n]
 
 
+def _assert_one_to_one(nx, oracle, graphs):
+    """Match each graph to exactly one oracle graph (WL-hash buckets, then
+    networkx isomorphism), and every oracle graph to one graph."""
+    buckets = {}
+    for h in oracle:
+        key = (h.number_of_nodes(), nx.weisfeiler_lehman_graph_hash(h))
+        buckets.setdefault(key, []).append(h)
+    for g in graphs:
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        bucket = buckets[(g.n, nx.weisfeiler_lehman_graph_hash(h))]
+        matches = [i for i, a in enumerate(bucket) if nx.is_isomorphic(a, h)]
+        assert len(matches) == 1
+        bucket.pop(matches[0])
+    assert not any(buckets.values())
+
+
 @pytest.mark.filterwarnings("ignore:The hashes produced:UserWarning")
 def test_universe_matches_networkx_atlas():
-    # independent oracle: networkx's atlas of every graph on at most 7 vertices,
-    # matched one to one by WL-hash buckets and networkx isomorphism
+    # independent oracle: networkx's atlas of every graph on at most 7 vertices
     nx = pytest.importorskip("networkx")
-    buckets = {}
-    for h in nx.graph_atlas_g():
-        if h.number_of_nodes():
-            key = (h.number_of_nodes(), nx.weisfeiler_lehman_graph_hash(h))
-            buckets.setdefault(key, []).append(h)
-    for k in range(1, 8):
-        for g in enumerate_graphs(k):
-            h = nx.Graph()
-            h.add_nodes_from(range(k))
-            h.add_edges_from(g.edges())
-            bucket = buckets[(k, nx.weisfeiler_lehman_graph_hash(h))]
-            matches = [i for i, a in enumerate(bucket) if nx.is_isomorphic(a, h)]
-            assert len(matches) == 1
-            bucket.pop(matches[0])
-    assert not any(buckets.values())
+    atlas = (h for h in nx.graph_atlas_g() if h.number_of_nodes())
+    _assert_one_to_one(nx, atlas, (g for k in range(1, 8) for g in enumerate_graphs(k)))
+
+
+@pytest.mark.filterwarnings("ignore:The hashes produced:UserWarning")
+def test_tree_universe_matches_networkx():
+    # independent oracle: networkx's nonisomorphic trees, orders 1..12
+    nx = pytest.importorskip("networkx")
+    orders = range(1, 13)
+    _assert_one_to_one(
+        nx,
+        (h for n in orders for h in nx.nonisomorphic_trees(n)),
+        (g for n in orders for g in enumerate_graphs(n, "tree")),
+    )
 
 
 def test_no_duplicate_canonical_tokens():
