@@ -1,8 +1,8 @@
-"""Canonical labeling by individualization and refinement.
+"""Isomorphism certificates: graphs by individualization and refinement, trees by centres.
 
-The canonical form of a graph is its adjacency relabeled by one leaf of a
-search tree, in the simplest form of McKay & Piperno, "Practical graph
-isomorphism, II" (J. Symb. Comput. 2014):
+The graph certificate is the adjacency relabeled by one leaf of a search
+tree, in the simplest form of McKay & Piperno, "Practical graph isomorphism,
+II" (J. Symb. Comput. 2014):
 
 * every node is an ordered partition of the vertices, refined until it is
   equitable: a cell splits by how many neighbours its vertices have in
@@ -17,23 +17,15 @@ isomorphism invariant.  Two leaves with equal certificates give an
 automorphism.  At each node a child is skipped when the automorphisms found
 so far that fix the node's individualized vertices map an explored child
 onto it; its subtree then holds only certificates already seen.
+
+The tree certificate is the least rooted-subtree code at the tree's centres.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from domiperf.formats import emit_graph6
-from domiperf.graph import Graph, GraphError
-
-MAX_CANONICAL_ORDER = 10
-
-
-@dataclass(frozen=True)
-class CanonicalForm:
-    order: int
-    token: str
+from domiperf.graph import Graph, bits
 
 
 def _refine(adj: Sequence[int], cells: list[list[int]], splitters: list[int]) -> list[list[int]]:
@@ -147,11 +139,19 @@ def certificate(adj: Sequence[int]) -> tuple[int, ...]:
 
 
 def canonical_graph(G: Graph) -> Graph:
-    if G.n > MAX_CANONICAL_ORDER:
-        raise GraphError(f"canonical labeling capped at order {MAX_CANONICAL_ORDER}")
+    """G relabeled by its certificate: isomorphic graphs give equal results."""
     return Graph(G.n, certificate(G.adj))
 
 
-def canonical_form(G: Graph) -> CanonicalForm:
-    """Isomorphism-invariant token: graph6 of the canonical relabeling."""
-    return CanonicalForm(G.n, emit_graph6(canonical_graph(G)))
+def tree_certificate(rows: tuple[int, ...]) -> str:
+    """Rooted-subtree code minimized over the tree's one or two centres."""
+    # the centres: strip every leaf at once until at most two vertices remain (Jordan, 1869)
+    alive = (1 << len(rows)) - 1
+    while alive.bit_count() > 2:
+        alive &= ~sum(1 << v for v in bits(alive) if (rows[v] & alive).bit_count() == 1)
+
+    def rooted(v: int, parent: int) -> str:
+        subs = sorted(rooted(u, v) for u in bits(rows[v]) if u != parent)
+        return "(" + "".join(subs) + ")"
+
+    return min(rooted(c, -1) for c in bits(alive))

@@ -2,9 +2,9 @@
 
 Each driver is a list of sweeps run by one loop: a sweep checks every graph
 of a universe from :mod:`domiperf.universe` and tallies the agreements of
-independent routes in a JSON-serializable report.  Canonical forms come from
-:mod:`domiperf.canon` (individualization and refinement); both modules'
-public names are re-exported here.
+independent routes in a JSON-serializable report.  The universes' public
+names and ``canonical_graph`` from :mod:`domiperf.canon` are re-exported here;
+``canonical_form`` names the minimal imperfect graphs a sweep finds.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable
 
-from domiperf.canon import MAX_CANONICAL_ORDER, CanonicalForm, canonical_form, canonical_graph
+from domiperf.canon import canonical_graph
 from domiperf.formats import emit_graph6
 from domiperf.graph import Graph, GraphError
 from domiperf.graph_classes import (
@@ -41,8 +41,8 @@ from domiperf.perfection import (
 from domiperf.universe import MAX_ENUM_ORDER, MAX_TREE_ORDER, enumerate_graphs, enumerate_up_to
 
 __all__ = [
-    "COUNTEREXAMPLE_CAP", "MAX_CANONICAL_ORDER", "MAX_ENUM_ORDER", "MAX_TREE_ORDER",
-    "CanonicalForm", "VerificationReport", "canonical_form", "canonical_graph",
+    "COUNTEREXAMPLE_CAP", "MAX_ENUM_ORDER", "MAX_TREE_ORDER",
+    "VerificationReport", "canonical_form", "canonical_graph",
     "enumerate_graphs", "enumerate_up_to", "verify_chain", "verify_corollaries",
     "verify_theorem",
 ]
@@ -51,6 +51,11 @@ COUNTEREXAMPLE_CAP = 100
 # host orders of the line and middle graph sweeps; trees go to MAX_TREE_ORDER
 LINE_HOST_ORDER = 7
 MIDDLE_HOST_ORDER = 5
+
+
+def canonical_form(G: Graph) -> str:
+    """Isomorphism-invariant token: graph6 of the canonical relabeling."""
+    return emit_graph6(canonical_graph(G))
 
 
 @dataclass
@@ -122,7 +127,7 @@ def verify_theorem(order_max: int) -> VerificationReport:
         vt = perfect_by_theorem(G)
         # minimal imperfect iff the definition scan's first gap is all of G
         if not vd.perfect and len(vd.witness.vertices) == G.n:
-            minimal_tokens.append(canonical_form(G).token)
+            minimal_tokens.append(canonical_form(G))
         if vd.perfect == vg.perfect == vt.perfect:
             return None
         return {

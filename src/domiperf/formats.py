@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from domiperf.graph import MAX_ORDER, Graph, GraphError, build_graph
+from domiperf.graph import MAX_ORDER, Graph, build_graph
 
 _OFFSET = 63
 _MAX_SHORT_ORDER = 62
@@ -118,27 +118,33 @@ def iter_graph6(lines: Iterable[str]) -> Iterator[GraphRecord]:
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse "n" followed by 1-based "u v" lines into a graph."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    """Parse "n" followed by 1-based "u v" lines into a graph.
+
+    Lines count from 1, blank lines included, as in :func:`iter_graph6`; an
+    error names its line, and vertices by their 1-based labels.
+    """
+    lines = [(k, ln.strip()) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise FormatError("empty edge-list input")
+    lineno, head = lines[0]
     try:
-        n = int(lines[0])
+        n = int(head)
     except ValueError:
-        raise FormatError(f"order line is not a number: {lines[0]!r}") from None
+        raise FormatError(f"line {lineno}: order line is not a number: {head!r}") from None
+    if not 0 <= n <= MAX_ORDER:
+        raise FormatError(f"line {lineno}: order {n} outside 0..{MAX_ORDER}")
     edges = []
-    for ln in lines[1:]:
+    for lineno, ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
-            raise FormatError(f"expected 'u v', got {ln!r}")
+            raise FormatError(f"line {lineno}: expected 'u v', got {ln!r}")
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise FormatError(f"non-numeric endpoint in {ln!r}") from None
+            raise FormatError(f"line {lineno}: non-numeric endpoint in {ln!r}") from None
         if not (1 <= u <= n and 1 <= v <= n):
-            raise FormatError(f"endpoint outside 1..{n} in {ln!r}")
+            raise FormatError(f"line {lineno}: endpoint outside 1..{n} in {ln!r}")
+        if u == v:
+            raise FormatError(f"line {lineno}: loop at vertex {u}")
         edges.append((u - 1, v - 1))
-    try:
-        return build_graph(n, edges)
-    except GraphError as exc:
-        raise FormatError(str(exc)) from exc
+    return build_graph(n, edges)

@@ -13,9 +13,6 @@ from typing import Iterable, Iterator
 
 MAX_ORDER = 64
 
-#: Marker returned by diameter for disconnected graphs.
-INFINITE = math.inf
-
 
 class GraphError(ValueError):
     """Structurally invalid graph construction or argument."""
@@ -79,9 +76,6 @@ class Graph:
     def closed_masks(self) -> list[int]:
         return [self.adj[v] | (1 << v) for v in range(self.n)]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in bits(self.adj[u]) if u < v]
 
@@ -116,11 +110,11 @@ class Graph:
             seen |= nxt
 
     def diameter(self) -> int | float:
-        """Largest pairwise distance; INFINITE when disconnected, 0 for n <= 1."""
+        """Largest pairwise distance; math.inf when disconnected, 0 for n <= 1."""
         if self.n <= 1:
             return 0
         if not self.is_connected():
-            return INFINITE
+            return math.inf
         best = 0
         for u in range(self.n):
             best = max(best, len(self.eccentricity_masks(u)) - 1)

@@ -251,15 +251,9 @@ def middle_graph_criterion(H: Graph) -> bool:
 def middle_graph_star_phrasing(H: Graph) -> bool:
     """Second-clause reading: at most one nontrivial component, and it is a star.
 
-    Disagrees with the matching-based clause on a triangle component; kept
-    separate so verification can document the discrepancy.
+    That is, H has no edges or one vertex lies on every edge.  Disagrees with
+    the matching-based clause on a triangle component; kept separate so
+    verification can document the discrepancy.
     """
-    nontrivial = [comp for comp in H.components() if len(comp) >= 2]
-    if len(nontrivial) > 1:
-        return False
-    if not nontrivial:
-        return True
-    sub = H.induced(nontrivial[0])
-    degs = sorted(sub.degree(v) for v in range(sub.n))
-    # K_{1,k}: one center of degree k, k leaves of degree 1
-    return sub.m == sub.n - 1 and degs[-1] == sub.n - 1 and all(d == 1 for d in degs[:-1])
+    edges = H.edges()
+    return not edges or any(all(v in e for e in edges) for v in range(H.n))

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from domiperf.canon import canonical_form
+from domiperf.canon import certificate
 from domiperf.graph import Graph, GraphError, build_graph
 
 
@@ -70,7 +70,7 @@ def catalog() -> tuple[Pattern, ...]:
     by_name = {p.name: p for p in pats}
     # the catalog identities the class-restricted criteria rely on
     for a, b in (("H7", "TWO_P3"), ("H8", "P6"), ("H9", "C6")):
-        if canonical_form(by_name[a].graph()) != canonical_form(by_name[b].graph()):
+        if certificate(by_name[a].graph().adj) != certificate(by_name[b].graph().adj):
             raise GraphError(f"catalog graph {a} is not isomorphic to {b}")
     return tuple(pats)
 

@@ -2,10 +2,10 @@
 
 Both grow by one step, ``_grow``: each representative of the previous order
 gets a new vertex joined to each allowed mask, and each class keeps the first
-child (adjacency rows) that reached it.  Graphs join every subset and list
-their classes in ascending canonical certificate (:mod:`domiperf.canon`).
-Trees attach a leaf, deduplicate by a centre-rooted code and keep first-seen
-order.
+child (adjacency rows) that reached it; the class is decided by a certificate
+from :mod:`domiperf.canon`.  Graphs join every subset and list their classes
+in ascending certificate order.  Trees attach a leaf, take the tree
+certificate and keep first-seen order.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from __future__ import annotations
 from functools import cache
 from typing import Callable, Iterable, Iterator
 
-from domiperf.canon import certificate
-from domiperf.graph import Graph, GraphError, bits
+from domiperf.canon import certificate, tree_certificate
+from domiperf.graph import Graph, GraphError
 
 MAX_ENUM_ORDER = 8
 MAX_TREE_ORDER = 12
@@ -39,25 +39,11 @@ def _all_graphs(order: int) -> list[Graph]:
     return [Graph(order, level[cert]) for cert in sorted(level)]
 
 
-def _tree_code(rows: tuple[int, ...]) -> str:
-    """Rooted-subtree code minimized over the tree's one or two centres."""
-    # the centres: strip every leaf at once until at most two vertices remain (Jordan, 1869)
-    alive = (1 << len(rows)) - 1
-    while alive.bit_count() > 2:
-        alive &= ~sum(1 << v for v in bits(alive) if (rows[v] & alive).bit_count() == 1)
-
-    def rooted(v: int, parent: int) -> str:
-        subs = sorted(rooted(u, v) for u in bits(rows[v]) if u != parent)
-        return "(" + "".join(subs) + ")"
-
-    return min(rooted(c, -1) for c in bits(alive))
-
-
 @cache
 def _all_trees(order: int) -> list[Graph]:
     if order == 1:
         return [Graph(1, (0,))]
-    level = _grow(_all_trees(order - 1), lambda k: [1 << v for v in range(k)], _tree_code)
+    level = _grow(_all_trees(order - 1), lambda k: [1 << v for v in range(k)], tree_certificate)
     return [Graph(order, rows) for rows in level.values()]
 
 

@@ -3,9 +3,8 @@ import json
 import pytest
 
 from conftest import pattern_graph
-from domiperf.canon import canonical_form
-from domiperf.cli import main
-from domiperf.enumeration import MAX_ENUM_ORDER
+from domiperf.cli import _worker_count, main
+from domiperf.enumeration import MAX_ENUM_ORDER, canonical_form
 from domiperf.formats import emit_graph6, parse_graph6
 from domiperf.graph import build_graph, complete_graph, cycle_graph, path_graph
 from domiperf.graph_classes import corona_k1
@@ -125,6 +124,7 @@ def test_computation_error_names_line_on_stdin(capsys, monkeypatch):
 def test_pool_error_names_file_and_line(tmp_path, capsys, monkeypatch):
     # two workers over five records: the pool path, not the in-process one
     monkeypatch.setenv("DOMIPERF_WORKERS", "2")
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
     src = tmp_path / "in.g6"
     tokens = [emit_graph6(path_graph(n)) for n in (2, 3, 4)]
     tokens[2:2] = [emit_graph6(build_graph(MAX_SWEEP_ORDER + 1, []))] * 2
@@ -153,7 +153,7 @@ def test_search_minimal(capsys):
     assert code == 0
     tokens = out.split()
     assert len(tokens) == 10
-    assert set(tokens) == {canonical_form(pattern_graph(f"H{k}")).token for k in range(1, 11)}
+    assert set(tokens) == {canonical_form(pattern_graph(f"H{k}")) for k in range(1, 11)}
 
 
 def test_construct_pipeline(tmp_path, capsys):
@@ -250,6 +250,28 @@ def test_edge_list_one_graph_per_file(tmp_path, capsys):
     assert [(r["n"], r["m"], r["gamma"]) for r in records] == [(3, 2, 1), (3, 3, 1)]
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("3\n1 2\n2 x\n", "line 3: non-numeric endpoint in '2 x'"),
+        ("3\n1 1\n", "line 2: loop at vertex 1"),
+        ("3\n\n1 2 3\n", "line 3: expected 'u v', got '1 2 3'"),
+        ("\n65\n1 2\n", "line 2: order 65 outside 0..64"),
+        ("\nx\n", "line 2: order line is not a number: 'x'"),
+    ],
+)
+def test_edge_list_error_names_line(tmp_path, capsys, monkeypatch, text, message):
+    # lines count from 1, blank lines included; vertices keep their 1-based labels
+    src = tmp_path / "bad.edges"
+    src.write_text(text)
+    code, out, err = _run(capsys, ["compute", "--format", "edges", str(src)])
+    assert (code, out, err) == (2, "", f"domiperf: {src}: {message}\n")
+    code, out, err = _run(
+        capsys, ["compute", "--format", "edges"], stdin=text, monkeypatch=monkeypatch
+    )
+    assert (code, out, err) == (2, "", f"domiperf: {message}\n")
+
+
 def test_missing_file_exits_two(capsys):
     code, _, err = _run(capsys, ["compute", "/nonexistent/in.g6"])
     assert code == 2 and "domiperf:" in err
@@ -263,6 +285,20 @@ def test_bad_workers_env_exits_two(tmp_path, capsys, monkeypatch, value):
     code, _, err = _run(capsys, ["classify", str(src)])
     assert code == 2
     assert "DOMIPERF_WORKERS" in err
+
+
+@pytest.mark.parametrize(
+    "value, cpus, expected",
+    [(None, 8, 8), ("4096", 8, 8), ("3", 8, 3), ("8", 8, 8), ("2", None, 1)],
+)
+def test_worker_count_is_capped_at_cpu_count(monkeypatch, value, cpus, expected):
+    # resolved only, never used: no pool is started here
+    if value is None:
+        monkeypatch.delenv("DOMIPERF_WORKERS")
+    else:
+        monkeypatch.setenv("DOMIPERF_WORKERS", value)
+    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    assert _worker_count() == expected
 
 
 def test_usage_error(capsys):

@@ -29,13 +29,8 @@ def test_canonical_identifies_isomorphs():
     tokens = set()
     for perm in permutations(range(3)):
         g = build_graph(3, [(perm[0], perm[1]), (perm[1], perm[2]), (perm[0], perm[2])])
-        tokens.add(canonical_form(g).token)
+        tokens.add(canonical_form(g))
     assert len(tokens) == 1
-
-
-def test_canonical_cap():
-    with pytest.raises(GraphError):
-        canonical_form(build_graph(11, []))
 
 
 def _symmetric_graphs():
@@ -49,26 +44,47 @@ def _symmetric_graphs():
     yield build_graph(10, petersen)
 
 
+def _relabeled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
 def test_canonical_invariance_random_relabelings():
     rng = random.Random(7)
     cases = []
     for _ in range(60):
         n = rng.randint(1, 10)
         p = rng.choice((0.2, 0.5, 0.8))
-        cases.append((n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]))
-    cases += [(g.n, g.edges()) for g in _symmetric_graphs()]
-    for n, edges in cases:
-        base = canonical_form(build_graph(n, edges)).token
+        pairs = combinations(range(n), 2)
+        cases.append(build_graph(n, [(u, v) for u, v in pairs if rng.random() < p]))
+    cases += _symmetric_graphs()
+    for g in cases:
+        base = canonical_form(g)
         for _ in range(6):
-            perm = list(range(n))
-            rng.shuffle(perm)
-            g2 = build_graph(n, [(perm[u], perm[v]) for u, v in edges])
-            assert canonical_form(g2).token == base
-            assert canonical_form(canonical_graph(g2)).token == base
+            g2 = _relabeled(g, rng)
+            assert canonical_form(g2) == base
+            assert canonical_form(canonical_graph(g2)) == base
+
+
+def test_canonical_labeling_above_order_ten():
+    # no cap on the order: 11 and 12 label like any other order
+    rng = random.Random(12)
+    *_, petersen = _symmetric_graphs()
+    for g in (
+        build_graph(11, []),
+        build_graph(11, petersen.edges() + [(0, 10)]),
+        build_graph(12, [(u, v) for u, v in combinations(range(12), 2) if rng.random() < 0.5]),
+    ):
+        base = canonical_graph(g)
+        assert all(canonical_graph(_relabeled(g, rng)) == base for _ in range(6))
+    # both 2-regular on 11 vertices, not isomorphic
+    c5_c6 = cycle_graph(5).edges() + [(5 + u, 5 + v) for u, v in cycle_graph(6).edges()]
+    assert canonical_graph(cycle_graph(11)) != canonical_graph(build_graph(11, c5_c6))
 
 
 def test_canonical_separates_symmetric_graphs():
-    tokens = {canonical_form(g).token for g in _symmetric_graphs()}
+    tokens = {canonical_form(g) for g in _symmetric_graphs()}
     assert len(tokens) == 5
     # same order, same degree sequence, not isomorphic: C6 and two triangles
     two_triangles = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
@@ -93,7 +109,7 @@ def test_graph_counts_against_labeled_dedup_oracle():
         tokens = set()
         for bitsel in range(1 << len(pairs)):
             g = build_graph(n, [pairs[i] for i in range(len(pairs)) if bitsel >> i & 1])
-            tokens.add(canonical_form(g).token)
+            tokens.add(canonical_form(g))
         assert len(tokens) == SMALL_COUNTS[n]
 
 
@@ -137,7 +153,7 @@ def test_tree_universe_matches_networkx():
 
 def test_no_duplicate_canonical_tokens():
     for order in (4, 5, 6):
-        tokens = [canonical_form(g).token for g in enumerate_graphs(order)]
+        tokens = [canonical_form(g) for g in enumerate_graphs(order)]
         assert len(tokens) == len(set(tokens))
 
 
@@ -174,7 +190,7 @@ def test_tree_counts_against_prufer_oracle():
     for n in range(3, 8):
         tokens = set()
         for seq in product(range(n), repeat=n - 2):
-            tokens.add(canonical_form(_prufer_tree(seq, n)).token)
+            tokens.add(canonical_form(_prufer_tree(seq, n)))
         assert len(tokens) == TREE_COUNTS[n]
 
 
@@ -195,18 +211,25 @@ def test_unknown_filter_name_raises(name):
         list(enumerate_graphs(4, name))
 
 
-def test_universe_imports_no_graph_theory():
-    # the universes sit below the recognizers, the patterns and the perfection routes
-    code = (
-        "import sys, domiperf.universe, domiperf.canon; "
-        "print(sorted(m for m in ('domiperf.graph_classes', 'domiperf.patterns', "
-        "'domiperf.perfection') if m in sys.modules))"
-    )
+def _modules_loaded_by(statement):
+    """The domiperf modules a fresh interpreter holds after running ``statement``."""
+    code = f"import json, sys; {statement}; print(json.dumps(sorted(sys.modules)))"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     ).stdout
-    assert out.strip() == "[]"
+    return {m for m in json.loads(out) if m.split(".")[0] == "domiperf"}
+
+
+def test_universe_imports_no_graph_theory():
+    # the universes sit below the recognizers, the patterns and the perfection routes
+    loaded = _modules_loaded_by("import domiperf.universe, domiperf.canon")
+    assert not loaded & {"domiperf.graph_classes", "domiperf.patterns", "domiperf.perfection"}
+
+
+def test_canon_imports_only_graph():
+    loaded = _modules_loaded_by("import domiperf.canon")
+    assert loaded == {"domiperf", "domiperf.canon", "domiperf.graph"}
 
 
 def test_enumeration_caps():
@@ -219,8 +242,8 @@ def test_enumeration_caps():
 
 
 def test_enumeration_is_deterministic():
-    a = [canonical_form(g).token for g in enumerate_graphs(5)]
-    b = [canonical_form(g).token for g in enumerate_graphs(5)]
+    a = [canonical_form(g) for g in enumerate_graphs(5)]
+    b = [canonical_form(g) for g in enumerate_graphs(5)]
     assert a == b
 
 

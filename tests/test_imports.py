@@ -1,5 +1,6 @@
 import ast
 import importlib
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -63,3 +64,20 @@ def test_benchmark_traced_names_resolve():
             if not callable(scope.get(attr)):
                 gone.add(f"{module}.{name}")
     assert gone == TRACED_BUT_GONE
+
+
+def _resolves(name: str) -> bool:
+    module, _, attr = name.removeprefix("domiperf.").partition(".")
+    try:
+        mod = importlib.import_module(f"domiperf.{module}")
+    except ModuleNotFoundError:
+        return False
+    return not attr or hasattr(mod, attr)
+
+
+def test_readme_names_resolve():
+    # every backticked `module.NAME` or `domiperf.module` in the README is
+    # defined by the package, so a removed name cannot stay documented
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    dotted = [t for t in re.findall(r"`([^`\n]+)`", text) if re.fullmatch(r"[a-z_]+(\.\w+)+", t)]
+    assert dotted and [name for name in dotted if not _resolves(name)] == []

@@ -93,7 +93,7 @@ def _is_induced_map(host, pat, mapping):
     """The naive pairwise test: an injective map that keeps edges and non-edges."""
     pg = pat.graph()
     return len(set(mapping)) == len(mapping) == pg.n and all(
-        pg.has_edge(i, j) == host.has_edge(mapping[i], mapping[j])
+        pg.adj[i] >> j & 1 == host.adj[mapping[i]] >> mapping[j] & 1
         for i in range(pg.n)
         for j in range(i + 1, pg.n)
     )
