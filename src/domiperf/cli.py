@@ -93,24 +93,26 @@ def _map_records(
     return results
 
 
-def _parse_records(text: str, fmt: str) -> list[GraphRecord]:
-    if fmt == "edges":
-        return [GraphRecord(1, parse_edge_list(text))]
-    return list(iter_graph6(text.splitlines()))
-
-
 def _read_records(args) -> list[tuple[str, GraphRecord]]:
-    """(file, record) pairs of stdin (file "") or of each file parsed on its own."""
-    if not args.files:
-        return [("", rec) for rec in _parse_records(sys.stdin.read(), args.format)]
+    """(file, record) pairs of stdin (file "") or of each file parsed on its own; input is ASCII."""
     located = []
-    for path in args.files:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+    for path in args.files or [""]:
+        where = f"{path}: " if path else ""
+        with open(path, "rb") if args.files else nullcontext(sys.stdin.buffer) as f:
+            data = f.read()
         try:
-            located.extend((path, rec) for rec in _parse_records(text, args.format))
+            text = data.decode("ascii")
+        except UnicodeDecodeError as exc:
+            # the byte's line as the parsers count lines: splitlines on the text before it
+            line = len((data[: exc.start] + b".").decode("ascii").splitlines())
+            raise FormatError(f"{where}line {line}: byte {data[exc.start]} is not ASCII") from None
+        try:
+            if args.format == "edges":
+                located.append((path, GraphRecord(1, parse_edge_list(text))))
+            else:
+                located.extend((path, rec) for rec in iter_graph6(text.splitlines()))
         except FormatError as exc:
-            raise FormatError(f"{path}: {exc}") from exc
+            raise FormatError(f"{where}{exc}") from exc
     return located
 
 

@@ -2,15 +2,15 @@
 
 Covers the tree taxonomy (star / spider / wounded spider / broom) read off one
 leg profile, chordal recognition by simplicial elimination, block graphs
-(recognized as diamond-free chordal graphs, their blocks read off edge
-neighbourhoods), and the line / corona / middle / total constructions,
+(recognized as diamond-free chordal graphs; the decomposition is the tuple of
+blocks, read off edge neighbourhoods, and the block-graph corollary counts the
+blocks at each vertex), and the line / corona / middle / total constructions,
 together with the reduced forbidden-set criteria each class admits.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from itertools import combinations
 
 from domiperf.graph import MAX_ORDER, Graph, GraphError, bits, build_graph, set_of
@@ -112,15 +112,9 @@ def is_chordal(G: Graph) -> bool:
 # -- block graphs -----------------------------------------------------------
 # A block graph is a chordal graph with no induced diamond K4 - e (Bandelt &
 # Mulder, "Distance-hereditary graphs", JCTB 1986).  In a block graph the
-# block that holds an edge uv is N[u] & N[v].
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    blocks: tuple[frozenset[int], ...]
-    cut_vertices: frozenset[int]
-    block_kinds: tuple[str, ...]  # "end" | "inner" | "isolated" per block
-    blocks_per_vertex: tuple[int, ...]
-
+# block that holds an edge uv is N[u] & N[v], a cut vertex is a vertex in two
+# or more blocks (Harary, Canad. Math. Bull. 1963), and an inner block holds
+# two or more cut vertices.
 
 def is_block_graph(G: Graph) -> bool:
     """The common neighbours of every edge are pairwise adjacent, and G is chordal."""
@@ -131,26 +125,18 @@ def is_block_graph(G: Graph) -> bool:
     return is_chordal(G)
 
 
-def block_decomposition(G: Graph) -> BlockDecomposition:
-    """Blocks (ascending as masks) and cut vertices of a block graph.
+def block_decomposition(G: Graph) -> tuple[frozenset[int], ...]:
+    """The blocks of a block graph, ascending as masks.
 
-    Isolated vertices count as their own (edgeless) blocks; a block touching
-    no cut vertex is flagged "isolated", exactly one "end", two or more
-    "inner".  Any other graph raises GraphError.
+    Isolated vertices count as their own (edgeless) blocks.  Any other graph
+    raises GraphError.
     """
     if not is_block_graph(G):
         raise GraphError("block decomposition expects a block graph")
     closed = G.closed_masks()
     masks = {closed[u] & closed[v] for u, v in G.edges()}
     masks.update(1 << v for v in range(G.n) if not G.adj[v])
-    blocks = [set_of(mask) for mask in sorted(masks)]
-    per_vertex = [sum(v in blk for blk in blocks) for v in range(G.n)]
-    cut = frozenset(v for v in range(G.n) if per_vertex[v] >= 2)
-    kinds = []
-    for blk in blocks:
-        c = len(blk & cut)
-        kinds.append("isolated" if c == 0 else "end" if c == 1 else "inner")
-    return BlockDecomposition(tuple(blocks), cut, tuple(kinds), tuple(per_vertex))
+    return tuple(set_of(mask) for mask in sorted(masks))
 
 
 def block_graph_corollary(G: Graph) -> bool:
@@ -158,29 +144,25 @@ def block_graph_corollary(G: Graph) -> bool:
     if not G.is_connected() or G.n == 0:
         raise GraphError("block graph corollary expects a connected graph")
     try:
-        dec = block_decomposition(G)
+        blocks = block_decomposition(G)
     except GraphError:
         raise GraphError("block graph corollary expects a block graph") from None
     diam = G.diameter()
     if diam <= 2:
         return True
-    branchy = sum(1 for c in dec.blocks_per_vertex if c >= 3)
+    per_vertex = [sum(v in blk for blk in blocks) for v in range(G.n)]
+    branchy = {v for v in range(G.n) if per_vertex[v] >= 3}
     if diam == 3:
-        return branchy <= 1
+        return len(branchy) <= 1
     if diam == 4:
-        inner = [blk for blk, kind in zip(dec.blocks, dec.block_kinds) if kind == "inner"]
-        large_inner = [blk for blk in inner if len(blk) >= 3]
+        cut = {v for v in range(G.n) if per_vertex[v] >= 2}
+        large_inner = [blk for blk in blocks if len(blk) >= 3 and len(blk & cut) >= 2]
         if not large_inner:
             # (a): every inner block is an edge
-            return branchy <= 1
+            return len(branchy) <= 1
         if len(large_inner) == 1:
             # (b): unique large inner block; a lone high-branching vertex must lie in it
-            if branchy == 0:
-                return True
-            if branchy == 1:
-                v = next(i for i, c in enumerate(dec.blocks_per_vertex) if c >= 3)
-                return v in large_inner[0]
-            return False
+            return len(branchy) <= 1 and branchy <= large_inner[0]
         return False
     return False
 

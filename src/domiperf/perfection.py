@@ -17,7 +17,7 @@ from typing import Callable
 from domiperf.canon import canonical_graph
 from domiperf.graph import Graph, GraphError, mask_of, set_of
 from domiperf.patterns import Embedding, Pattern, forbidden_free
-from domiperf.universe import MAX_ENUM_ORDER, enumerate_graphs
+from domiperf.universe import enumerate_graphs
 
 MAX_SWEEP_ORDER = 16
 
@@ -153,6 +153,4 @@ def is_minimal_imperfect(G: Graph) -> bool:
 
 def search_minimal_imperfect(order: int) -> list[Graph]:
     """All non-isomorphic minimal imperfect graphs of the given order, canonically labeled."""
-    if order > MAX_ENUM_ORDER:
-        raise GraphError(f"minimal-imperfect search capped at order {MAX_ENUM_ORDER}")
     return [canonical_graph(G) for G in enumerate_graphs(order) if is_minimal_imperfect(G)]

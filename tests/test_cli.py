@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 
 import pytest
 
@@ -17,11 +19,10 @@ def _single_worker(monkeypatch):
 
 
 def _run(capsys, argv, stdin=None, monkeypatch=None):
+    # stdin is text or raw bytes; the CLI reads the bytes through sys.stdin.buffer
     if stdin is not None:
-        import io
-        import sys
-
-        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        data = stdin if isinstance(stdin, bytes) else stdin.encode("ascii")
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -105,6 +106,12 @@ def test_verify_above_enumeration_cap_exits_two_at_once(capsys):
     code, out, err = _run(capsys, ["verify", "--order", str(MAX_ENUM_ORDER + 1)])
     assert (code, out) == (2, "")
     assert f"verification capped at order {MAX_ENUM_ORDER}" in err
+
+
+def test_search_minimal_above_enumeration_cap_exits_two(capsys):
+    code, out, err = _run(capsys, ["search-minimal", "--order", str(MAX_ENUM_ORDER + 1)])
+    assert (code, out) == (2, "")
+    assert f"capped at order {MAX_ENUM_ORDER}" in err
 
 
 def test_classify_definition_above_sweep_cap_exits_two(tmp_path, capsys):
@@ -270,6 +277,31 @@ def test_edge_list_error_names_line(tmp_path, capsys, monkeypatch, text, message
         capsys, ["compute", "--format", "edges"], stdin=text, monkeypatch=monkeypatch
     )
     assert (code, out, err) == (2, "", f"domiperf: {message}\n")
+
+
+@pytest.mark.parametrize("data, line", [(b"D??\n\xff\xfe\n", 2), (b"D??\r\n\n@\r\xff", 4)])
+def test_non_ascii_file_names_file_line_and_byte(tmp_path, capsys, data, line):
+    # lines count as the parsers count them: CRLF and a lone CR end a line
+    src = tmp_path / "bad.g6"
+    src.write_bytes(data)
+    code, out, err = _run(capsys, ["compute", str(src)])
+    assert (code, out, err) == (2, "", f"domiperf: {src}: line {line}: byte 255 is not ASCII\n")
+
+
+def test_non_ascii_stdin_names_line_and_byte(capsys, monkeypatch):
+    code, out, err = _run(capsys, ["classify"], stdin=b"@\n\xff\n", monkeypatch=monkeypatch)
+    assert (code, out, err) == (2, "", "domiperf: line 2: byte 255 is not ASCII\n")
+
+
+def test_leading_byte_order_mark_is_not_ascii(tmp_path, capsys, monkeypatch):
+    # a UTF-8 byte order mark is reported as its first byte, in either format
+    bom = "\ufeff".encode("utf-8")
+    src = tmp_path / "bom.edges"
+    src.write_bytes(bom + b"2\n1 2\n")
+    code, out, err = _run(capsys, ["compute", "--format", "edges", str(src)])
+    assert (code, out, err) == (2, "", f"domiperf: {src}: line 1: byte 239 is not ASCII\n")
+    code, out, err = _run(capsys, ["compute"], stdin=bom + b"@\n", monkeypatch=monkeypatch)
+    assert (code, out, err) == (2, "", "domiperf: line 1: byte 239 is not ASCII\n")
 
 
 def test_missing_file_exits_two(capsys):

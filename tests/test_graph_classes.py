@@ -136,24 +136,27 @@ def test_is_chordal_matches_networkx(g):
     assert is_chordal(g) == _networkx_chordal(g)
 
 
+def _cut_vertices(blocks):
+    # in a block graph the cut vertices are the vertices in two or more blocks
+    return {v for v, k in Counter(v for blk in blocks for v in blk).items() if k >= 2}
+
+
 def test_block_decomposition_p4():
-    dec = block_decomposition(path_graph(4))
-    assert len(dec.blocks) == 3
-    assert dec.cut_vertices == {1, 2}
-    assert sorted(dec.block_kinds) == ["end", "end", "inner"]
+    blocks = block_decomposition(path_graph(4))
+    assert blocks == ({0, 1}, {1, 2}, {2, 3})
+    assert _cut_vertices(blocks) == {1, 2}
 
 
 def test_block_decomposition_k4_and_isolated():
-    dec = block_decomposition(complete_graph(4))
-    assert len(dec.blocks) == 1 and not dec.cut_vertices
-    assert dec.block_kinds == ("isolated",)
-    dec2 = block_decomposition(build_graph(3, [(0, 1)]))
-    assert len(dec2.blocks) == 2  # one edge block plus one isolated vertex
+    blocks = block_decomposition(complete_graph(4))
+    assert blocks == ({0, 1, 2, 3},) and not _cut_vertices(blocks)
+    # one edge block plus one isolated vertex
+    assert block_decomposition(build_graph(3, [(0, 1)])) == ({0, 1}, {2})
 
 
 def test_block_decomposition_broom_blocks_are_edges():
-    dec = block_decomposition(_broom(4))
-    assert all(len(b) == 2 for b in dec.blocks)
+    blocks = block_decomposition(_broom(4))
+    assert all(len(b) == 2 for b in blocks)
 
 
 def test_is_block_graph():
@@ -265,11 +268,11 @@ def test_block_code_matches_networkx_biconnected_components():
         cliques = all(g.adj[u] >> v & 1 for c in comps for u, v in combinations(sorted(c), 2))
         assert is_block_graph(g) == cliques
         if cliques:
-            dec = block_decomposition(g)
+            blocks = block_decomposition(g)
             isolated = {frozenset((v,)) for v in nx.isolates(h)}
-            assert set(dec.blocks) == set(comps) | isolated
-            assert len(dec.blocks) == len(comps) + len(isolated)
-            assert dec.cut_vertices == set(nx.articulation_points(h))
+            assert set(blocks) == set(comps) | isolated
+            assert len(blocks) == len(comps) + len(isolated)
+            assert _cut_vertices(blocks) == set(nx.articulation_points(h))
 
 
 def test_block_decomposition_rejects_non_block_graphs():

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import re
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,6 +36,22 @@ def test_no_unused_top_level_imports():
         if unused:
             found[str(path.relative_to(ROOT))] = unused
     assert found == {}
+
+
+def test_library_imports_only_the_standard_library():
+    # networkx, numpy, scipy and hypothesis stay test-only: every import in
+    # src/ and scripts/, nested ones included, is the standard library or domiperf
+    found = set()
+    for path in MODULES:
+        if path.is_relative_to(ROOT / "tests"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+    assert {"domiperf", "argparse"} <= found
+    assert found - sys.stdlib_module_names - {"domiperf"} == set()
 
 
 # Traced names the package no longer defines: a traced run records no spans

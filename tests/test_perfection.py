@@ -6,8 +6,8 @@ from hypothesis import given, settings
 
 from conftest import graphs, pattern_graph
 from domiperf.graph import GraphError, build_graph, complete_graph, cycle_graph, path_graph
-from domiperf.invariants import brute_common_independence, brute_domination
-from domiperf.enumeration import enumerate_graphs, enumerate_up_to
+from domiperf.invariants import brute_common_independence, brute_domination, parameter_profile
+from domiperf.enumeration import canonical_form, enumerate_graphs, enumerate_up_to
 from domiperf.perfection import (
     MAX_SWEEP_ORDER,
     SubsetWitness,
@@ -107,6 +107,26 @@ def test_perfection_is_hereditary(g):
             sub = g.induced(set(range(g.n)) - {v})
             if sub.n:
                 assert perfect_by_definition(sub).perfect
+
+
+def test_hereditary_reduction_through_order_7():
+    # perfect iff gamma = alpha_c on G itself and every G - v is perfect; the
+    # verdict on G - v is looked up by canonical form among the order below
+    below = {canonical_form(build_graph(0, [])): True}
+    checked = 0
+    for order in range(1, 8):
+        verdicts = {}
+        for g in enumerate_graphs(order):
+            profile = parameter_profile(g)
+            reduced = profile.gamma == profile.common_ind and all(
+                below[canonical_form(g.induced(set(range(order)) - {v}))] for v in range(order)
+            )
+            key = canonical_form(g)
+            verdicts[key] = perfect_by_definition(g).perfect
+            assert verdicts[key] == reduced, key
+            checked += 1
+        below = verdicts
+    assert checked == 1252
 
 
 def _check_scans_by_brute_force(g):
