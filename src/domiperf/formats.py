@@ -19,13 +19,12 @@ _LONG_HEADER = "~"
 
 
 class FormatError(ValueError):
-    """Malformed interchange text; carries the byte offset of the defect."""
+    """Malformed interchange text; the message carries the byte offset of the defect."""
 
     def __init__(self, message: str, offset: int | None = None):
         if offset is not None:
             message = f"{message} (byte offset {offset})"
         super().__init__(message)
-        self.offset = offset
 
 
 @dataclass(frozen=True)

@@ -133,19 +133,9 @@ class Graph:
             cov |= self.adj[v]
         return cov == self.vertex_mask
 
-    def components(self) -> list[frozenset[int]]:
-        """Connected components as vertex sets, ordered by smallest member."""
-        out = []
-        remaining = self.vertex_mask
-        while remaining:
-            # the BFS layers are disjoint, so their sum is the component
-            comp = sum(self.eccentricity_masks((remaining & -remaining).bit_length() - 1))
-            out.append(set_of(comp))
-            remaining &= ~comp
-        return out
-
     def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.components()) == 1
+        # the BFS layers from vertex 0 are disjoint, so their sum is its component
+        return self.n <= 1 or sum(self.eccentricity_masks(0)) == self.vertex_mask
 
     def is_tree(self) -> bool:
         return self.n >= 1 and self.is_connected() and self.m == self.n - 1

@@ -1,18 +1,16 @@
 """Exact domination and independence solvers with optimal witness sets.
 
-Minimum dominating / independent dominating sets come from an
-increasing-cardinality search with coverage pruning that visits candidate
-sets in lexicographic order, so the reported witness is the
-lexicographically smallest optimal set.  The search starts at the larger of
-ceil(n / (Delta + 1)) and the size of a greedy 2-packing (vertices pairwise at
-distance >= 3 need distinct dominators), which bounds both gamma and i.
+An independent set dominates iff it is maximal, so alpha, alpha_c and i come
+from one memoized search over the maximal independent sets of vertex bitmasks
+(after Tarjan & Trojanowski, 1977), and one walk over the vertices turns its
+optimum into the lexicographically smallest optimal set.  ``parameter_profile``
+runs alpha, its witness walk and the per-vertex alpha_c values on one memo.
 
-Maximum independent sets come from a memoized search over vertex bitmasks
-with the reductions of Tarjan & Trojanowski (1977): a disconnected mask is
-the sum of its components, a vertex of degree 0 or 1 is taken without
-branching, and only then does the search branch on a max-degree vertex.
-``parameter_profile`` runs alpha, its lexicographic witness walk and the
-per-vertex alpha_c values on one shared memo.
+Minimum dominating sets come from an increasing-cardinality search with
+coverage pruning that visits candidate sets in lexicographic order, so the
+reported witness is the lexicographically smallest optimal set.  The search
+starts at the larger of ceil(n / (Delta + 1)) and the size of a greedy
+2-packing (vertices pairwise at distance >= 3 need distinct dominators).
 
 The ``brute_*`` functions are deliberately naive 2^n enumerations kept as
 independent oracles for the solvers; do not "optimize" them.
@@ -39,15 +37,15 @@ class ParameterProfile:
     per_vertex_ind: tuple[int, ...]
 
 
-# -- maximum independent set ------------------------------------------------
+# -- maximal independent sets: alpha, alpha_c and i --------------------------
 
-def _alpha_mask(adj: tuple[int, ...], closed: list[int], mask: int, memo: dict) -> int:
-    """Independence number of the subgraph induced by ``mask``.
+def _mis(adj: tuple[int, ...], closed: list[int], mask: int, memo: dict, largest: bool) -> int:
+    """Size of a largest (``largest``) or smallest maximal independent set of G[mask].
 
-    A disconnected mask is the sum of its components.  In a connected mask a
-    vertex of degree at most 1 lies in some maximum independent set, so it is
-    taken without branching; otherwise the search branches on a vertex of
-    maximum degree (take it, or delete it).
+    A disconnected mask is the sum of its components.  Otherwise every
+    maximal independent set meets N[u] for a vertex u of least degree, so the
+    search branches on the vertex w of N[u] it takes, leaving G[mask - N[w]].
+    For the largest, u alone suffices when its degree is at most 1.
     """
     if mask == 0:
         return 0
@@ -65,43 +63,47 @@ def _alpha_mask(adj: tuple[int, ...], closed: list[int], mask: int, memo: dict) 
         frontier = reach & mask & ~comp
         comp |= frontier
     if comp != mask:
-        res = _alpha_mask(adj, closed, comp, memo) + _alpha_mask(adj, closed, mask & ~comp, memo)
+        res = _mis(adj, closed, comp, memo, largest)
+        res += _mis(adj, closed, mask & ~comp, memo, largest)
         memo[mask] = res
         return res
-    best_v, best_d = -1, -1
+    u, least = -1, mask.bit_count()
     m = mask
     while m:
         b = m & -m
         m ^= b
         v = b.bit_length() - 1
         d = (adj[v] & mask).bit_count()
-        if d <= 1:
-            best_v, best_d = v, d
-            break
-        if d > best_d:
-            best_d, best_v = d, v
-    v = best_v
-    res = 1 + _alpha_mask(adj, closed, mask & ~closed[v], memo)
-    if best_d > 1:
-        res = max(res, _alpha_mask(adj, closed, mask & ~(1 << v), memo))
+        if d < least:
+            u, least = v, d
+            if d <= 1:
+                break
+    branch = 1 << u if largest and least <= 1 else closed[u] & mask
+    res = 0 if largest else mask.bit_count()
+    while branch:
+        b = branch & -branch
+        branch ^= b
+        r = 1 + _mis(adj, closed, mask & ~closed[b.bit_length() - 1], memo, largest)
+        if (r > res) if largest else (r < res):
+            res = r
     memo[mask] = res
     return res
 
 
-def _lex_max_independent(G: Graph, closed: list[int], memo: dict) -> tuple[int, frozenset[int]]:
-    """alpha(G) and its lexicographically smallest maximum independent set.
+def _lex_mis(G: Graph, closed: list[int], memo: dict, largest: bool) -> tuple[int, frozenset[int]]:
+    """The optimum of ``_mis`` on G and its lexicographically smallest witness.
 
-    Walks the vertices in order and keeps v iff some maximum independent set
-    extends the chosen ones by v.
+    Walks the vertices in order and keeps v iff some optimal maximal
+    independent set extends the chosen ones by v.
     """
-    total = _alpha_mask(G.adj, closed, G.vertex_mask, memo)
+    total = _mis(G.adj, closed, G.vertex_mask, memo, largest)
     chosen = []
     allowed = G.vertex_mask
     for v in range(G.n):
         if not allowed >> v & 1:
             continue
         rest = allowed & ~closed[v]
-        if len(chosen) + 1 + _alpha_mask(G.adj, closed, rest, memo) == total:
+        if len(chosen) + 1 + _mis(G.adj, closed, rest, memo, largest) == total:
             chosen.append(v)
             allowed = rest
     return total, frozenset(chosen)
@@ -110,12 +112,12 @@ def _lex_max_independent(G: Graph, closed: list[int], memo: dict) -> tuple[int, 
 def _alpha_through_each_vertex(G: Graph, closed: list[int], memo: dict) -> tuple[int, ...]:
     """Largest independent set containing v, for every vertex v: 1 + alpha(G - N[v])."""
     full = G.vertex_mask
-    return tuple(1 + _alpha_mask(G.adj, closed, full & ~closed[v], memo) for v in range(G.n))
+    return tuple(1 + _mis(G.adj, closed, full & ~closed[v], memo, True) for v in range(G.n))
 
 
 def independence_number(G: Graph) -> tuple[int, frozenset[int]]:
     """alpha(G) with the lexicographically smallest maximum independent set."""
-    return _lex_max_independent(G, G.closed_masks(), {})
+    return _lex_mis(G, G.closed_masks(), {}, True)
 
 
 def common_independence_number(G: Graph) -> int:
@@ -125,13 +127,19 @@ def common_independence_number(G: Graph) -> int:
     return min(_alpha_through_each_vertex(G, G.closed_masks(), {}))
 
 
-# -- minimum (independent) dominating set -----------------------------------
+def independent_domination_number(G: Graph) -> tuple[int, frozenset[int]]:
+    """i(G) with the lexicographically smallest minimum maximal independent set."""
+    if G.n == 0:
+        raise GraphError("domination undefined on the empty graph")
+    return _lex_mis(G, G.closed_masks(), {}, False)
 
-def _lex_dominating(G: Graph, k: int, independent: bool) -> list[int] | None:
-    """Lexicographically first (independent) dominating set of size at most k."""
+
+# -- minimum dominating set -------------------------------------------------
+
+def _lex_dominating(G: Graph, k: int) -> list[int] | None:
+    """Lexicographically first dominating set of size at most k."""
     n = G.n
     full = G.vertex_mask
-    adj = G.adj
     closed = G.closed_masks()
     # suffix coverage: union and max cover size over vertices >= i
     suffix_cov = [0] * (n + 1)
@@ -142,7 +150,7 @@ def _lex_dominating(G: Graph, k: int, independent: bool) -> list[int] | None:
 
     chosen: list[int] = []
 
-    def rec(idx: int, chosen_mask: int, dom: int) -> bool:
+    def rec(idx: int, dom: int) -> bool:
         if dom == full:
             return True
         slots = k - len(chosen)
@@ -154,22 +162,20 @@ def _lex_dominating(G: Graph, k: int, independent: bool) -> list[int] | None:
         if slots * suffix_max[idx] < need.bit_count():
             return False
         for v in range(idx, n):
-            if independent and adj[v] & chosen_mask:
-                continue
             chosen.append(v)
-            if rec(v + 1, chosen_mask | (1 << v), dom | closed[v]):
+            if rec(v + 1, dom | closed[v]):
                 return True
             chosen.pop()
         return False
 
-    return list(chosen) if rec(0, 0, 0) else None
+    return list(chosen) if rec(0, 0) else None
 
 
 def _packing_bound(G: Graph) -> int:
     """Size of a greedy 2-packing, taken in ascending degree order.
 
     Vertices pairwise at distance >= 3 have disjoint closed neighborhoods, so
-    each needs a dominator of its own: a lower bound on gamma and on i.
+    each needs a dominator of its own: a lower bound on gamma.
     """
     closed = G.closed_masks()
     blocked = 0
@@ -182,26 +188,17 @@ def _packing_bound(G: Graph) -> int:
     return size
 
 
-def _minimum_dominating(G: Graph, independent: bool) -> tuple[int, frozenset[int]]:
+def domination_number(G: Graph) -> tuple[int, frozenset[int]]:
+    """gamma(G) with the lexicographically smallest minimum dominating set."""
     if G.n == 0:
         raise GraphError("domination undefined on the empty graph")
     maxdeg = max(G.degree(v) for v in range(G.n))
     lb = max(-(-G.n // (maxdeg + 1)), _packing_bound(G))
-    # a maximal independent set dominates, so some k <= n succeeds
+    # the whole vertex set dominates, so some k <= n succeeds
     for k in range(lb, G.n + 1):
-        found = _lex_dominating(G, k, independent)
+        found = _lex_dominating(G, k)
         if found is not None:
             return len(found), frozenset(found)
-
-
-def domination_number(G: Graph) -> tuple[int, frozenset[int]]:
-    """gamma(G) with the lexicographically smallest minimum dominating set."""
-    return _minimum_dominating(G, independent=False)
-
-
-def independent_domination_number(G: Graph) -> tuple[int, frozenset[int]]:
-    """i(G) with the lexicographically smallest minimum ID-set."""
-    return _minimum_dominating(G, independent=True)
 
 
 # -- profiles ---------------------------------------------------------------
@@ -214,7 +211,7 @@ def parameter_profile(G: Graph) -> ParameterProfile:
     ind_dom, wi = independent_domination_number(G)
     closed = G.closed_masks()
     memo: dict[int, int] = {}
-    alpha, wa = _lex_max_independent(G, closed, memo)
+    alpha, wa = _lex_mis(G, closed, memo, True)
     per_vertex = _alpha_through_each_vertex(G, closed, memo)
     common = min(per_vertex)
     if not gamma <= ind_dom <= common <= alpha:

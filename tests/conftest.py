@@ -1,3 +1,5 @@
+import heapq
+
 from hypothesis import strategies as st
 
 from domiperf.graph import Graph, build_graph
@@ -17,6 +19,24 @@ def graphs(draw, min_n=0, max_n=8):
 
 def pattern_graph(name: str) -> Graph:
     return pattern_by_name(name).graph()
+
+
+def prufer_tree(seq, n):
+    """The labeled tree on n >= 2 vertices with Pruefer sequence ``seq``."""
+    degree = [1] * n
+    for v in seq:
+        degree[v] += 1
+    edges = []
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
+    for v in seq:
+        leaf = heapq.heappop(leaves)
+        edges.append((leaf, v))
+        degree[v] -= 1
+        if degree[v] == 1:
+            heapq.heappush(leaves, v)
+    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
+    return build_graph(n, edges)
 
 
 @st.composite

@@ -7,7 +7,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from conftest import pattern_graph
+from conftest import pattern_graph, prufer_tree
 from domiperf.enumeration import (
     VerificationReport,
     canonical_form,
@@ -157,28 +157,6 @@ def test_no_duplicate_canonical_tokens():
         assert len(tokens) == len(set(tokens))
 
 
-def _prufer_tree(seq, n):
-    degree = [1] * n
-    for v in seq:
-        degree[v] += 1
-    edges = []
-    ptr = 0
-    leaves = sorted(v for v in range(n) if degree[v] == 1)
-    import heapq
-
-    heapq.heapify(leaves)
-    for v in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, v))
-        degree[v] -= 1
-        if degree[v] == 1:
-            heapq.heappush(leaves, v)
-    u = heapq.heappop(leaves)
-    w = heapq.heappop(leaves)
-    edges.append((u, w))
-    return build_graph(n, edges)
-
-
 @pytest.mark.parametrize("order,count", sorted(TREE_COUNTS.items()))
 def test_tree_counts(order, count):
     assert sum(1 for _ in enumerate_graphs(order, "tree")) == count
@@ -190,7 +168,7 @@ def test_tree_counts_against_prufer_oracle():
     for n in range(3, 8):
         tokens = set()
         for seq in product(range(n), repeat=n - 2):
-            tokens.add(canonical_form(_prufer_tree(seq, n)))
+            tokens.add(canonical_form(prufer_tree(seq, n)))
         assert len(tokens) == TREE_COUNTS[n]
 
 

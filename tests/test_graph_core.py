@@ -91,7 +91,7 @@ def test_is_dominating():
 
 def test_components_and_trees():
     h7 = build_graph(6, [(0, 2), (2, 4), (1, 3), (3, 5)])
-    assert len(h7.components()) == 2
+    assert not h7.is_connected()
     assert path_graph(6).is_tree()
     assert not cycle_graph(6).is_tree()
     assert star_graph(4).is_tree()
@@ -119,9 +119,9 @@ def test_diameter_matches_pairwise_max(g):
 
 
 @given(graphs(max_n=8))
-def test_components_match_networkx(g):
-    # independent oracle: networkx's components, listed by smallest member
+def test_is_connected_matches_networkx(g):
+    # independent oracle: networkx's connectivity test; it rejects K0, which is connected here
     nx = pytest.importorskip("networkx")
     h = nx.Graph(g.edges())
     h.add_nodes_from(range(g.n))
-    assert g.components() == sorted(map(frozenset, nx.connected_components(h)), key=min)
+    assert g.is_connected() == (g.n == 0 or nx.is_connected(h))

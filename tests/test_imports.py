@@ -98,3 +98,19 @@ def test_readme_names_resolve():
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     dotted = [t for t in re.findall(r"`([^`\n]+)`", text) if re.fullmatch(r"[a-z_]+(\.\w+)+", t)]
     assert dotted and [name for name in dotted if not _resolves(name)] == []
+
+
+def test_brute_oracles_stay_naive():
+    # the brute_* oracles check the solvers, so they may use no solver code:
+    # only the two mask predicates that define domination and independence
+    tree = ast.parse((ROOT / "src" / "domiperf" / "invariants.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    allowed = {"_is_dominating_mask", "_is_independent_mask"}
+    found = {
+        (fn.name, node.id)
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("brute_")
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Name) and node.id in defined - allowed
+    }
+    assert found == set()

@@ -1,9 +1,10 @@
+import random
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 
-from conftest import forests_and_cycles, graphs, pattern_graph
+from conftest import forests_and_cycles, graphs, pattern_graph, prufer_tree
 from domiperf.graph import (
     GraphError,
     build_graph,
@@ -156,3 +157,40 @@ def test_cycles_and_paths_closed_forms(n):
         p = parameter_profile(g)
         assert (p.gamma, p.ind_dom, p.common_ind, p.ind) == (-(-n // 3), -(-n // 3), n // 2, alpha)
         assert verify_witness(g, p)
+
+
+def _tree_independent_domination(t):
+    """i(T) by the linear-time tree DP of Beyer, Proskurowski, Hedetniemi & Mitchell (1977).
+
+    Rooted at 0, each vertex v has three states: v in S; v out of S and
+    dominated by a child; v out of S and left for its parent to dominate.
+    """
+    order, parent = [0], {0: None}
+    for v in order:  # breadth-first; the list grows while it is walked
+        for u in set_of(t.adj[v]) - {parent[v]}:
+            parent[u] = v
+            order.append(u)
+    inside, below, above = {}, {}, {}
+    for v in reversed(order):
+        kids = set_of(t.adj[v]) - {parent[v]}
+        inside[v] = 1 + sum(min(below[c], above[c]) for c in kids)
+        # every child in S or dominated below it, and at least one child in S
+        below[v] = sum(min(inside[c], below[c]) for c in kids) + min(
+            (max(0, inside[c] - below[c]) for c in kids), default=float("inf"))
+        above[v] = sum(below[c] for c in kids)
+    return min(inside[0], below[0])
+
+
+def test_independent_domination_on_trees_matches_dp():
+    # the DP against the brute-force oracle on small trees, then the solver
+    # against the DP on two random trees per order 20..64
+    rng = random.Random(0)
+    for n in range(2, 11):
+        t = prufer_tree([rng.randrange(n) for _ in range(n - 2)], n)
+        assert _tree_independent_domination(t) == brute_independent_domination(t)
+    for n in range(20, 65):
+        for _ in range(2):
+            t = prufer_tree([rng.randrange(n) for _ in range(n - 2)], n)
+            i, witness = independent_domination_number(t)
+            assert i == _tree_independent_domination(t)
+            assert t.is_independent(witness) and t.is_dominating(witness) and len(witness) == i
