@@ -6,11 +6,12 @@ from one memoized search over the maximal independent sets of vertex bitmasks
 optimum into the lexicographically smallest optimal set.  ``parameter_profile``
 runs alpha, its witness walk and the per-vertex alpha_c values on one memo.
 
-Minimum dominating sets come from an increasing-cardinality search with
-coverage pruning that visits candidate sets in lexicographic order, so the
-reported witness is the lexicographically smallest optimal set.  The search
-starts at the larger of ceil(n / (Delta + 1)) and the size of a greedy
-2-packing (vertices pairwise at distance >= 3 need distinct dominators).
+gamma is a set cover: the fewest vertices whose closed neighbourhoods cover
+V.  One memoized search on (vertices still to cover, candidates allowed)
+drops dominated candidates, covers independent parts separately and branches
+on the vertex with the fewest candidates (after Fomin, Grandoni & Kratsch,
+2009, and van Rooij & Bodlaender, 2011); a walk like the one for alpha turns
+its optimum into the lexicographically smallest minimum dominating set.
 
 The ``brute_*`` functions are deliberately naive 2^n enumerations kept as
 independent oracles for the solvers; do not "optimize" them.
@@ -37,15 +38,29 @@ class ParameterProfile:
     per_vertex_ind: tuple[int, ...]
 
 
+# -- bitmasks ---------------------------------------------------------------
+
+def _union(rows: tuple[int, ...] | list[int], mask: int) -> int:
+    """Union of ``rows[v]`` over the vertices v in ``mask``."""
+    out = 0
+    while mask:
+        b = mask & -mask
+        mask ^= b
+        out |= rows[b.bit_length() - 1]
+    return out
+
+
 # -- maximal independent sets: alpha, alpha_c and i --------------------------
 
 def _mis(adj: tuple[int, ...], closed: list[int], mask: int, memo: dict, largest: bool) -> int:
     """Size of a largest (``largest``) or smallest maximal independent set of G[mask].
 
-    A disconnected mask is the sum of its components.  Otherwise every
-    maximal independent set meets N[u] for a vertex u of least degree, so the
-    search branches on the vertex w of N[u] it takes, leaving G[mask - N[w]].
-    For the largest, u alone suffices when its degree is at most 1.
+    A disconnected mask is the sum of its components.  For the largest, a
+    vertex u of degree at most 1 lies in some maximum independent set, so it
+    is taken without branching; otherwise the search takes or deletes a
+    vertex w of maximum degree.  For the smallest, every maximal independent
+    set meets N[u] for a vertex u of least degree, so the search branches on
+    the vertex of N[u] it takes.
     """
     if mask == 0:
         return 0
@@ -55,37 +70,38 @@ def _mis(adj: tuple[int, ...], closed: list[int], mask: int, memo: dict, largest
     # the component of the lowest vertex in mask
     comp = frontier = mask & -mask
     while frontier:
-        reach = 0
-        while frontier:
-            b = frontier & -frontier
-            frontier ^= b
-            reach |= adj[b.bit_length() - 1]
-        frontier = reach & mask & ~comp
+        frontier = _union(adj, frontier) & mask & ~comp
         comp |= frontier
     if comp != mask:
         res = _mis(adj, closed, comp, memo, largest)
         res += _mis(adj, closed, mask & ~comp, memo, largest)
         memo[mask] = res
         return res
-    u, least = -1, mask.bit_count()
+    u, least, w, most = -1, mask.bit_count(), -1, -1
     m = mask
     while m:
         b = m & -m
         m ^= b
         v = b.bit_length() - 1
         d = (adj[v] & mask).bit_count()
+        if d > most:
+            w, most = v, d
         if d < least:
             u, least = v, d
             if d <= 1:
                 break
-    branch = 1 << u if largest and least <= 1 else closed[u] & mask
-    res = 0 if largest else mask.bit_count()
-    while branch:
-        b = branch & -branch
-        branch ^= b
-        r = 1 + _mis(adj, closed, mask & ~closed[b.bit_length() - 1], memo, largest)
-        if (r > res) if largest else (r < res):
-            res = r
+    if not largest:
+        res = mask.bit_count()
+        branch = closed[u] & mask
+        while branch:
+            b = branch & -branch
+            branch ^= b
+            res = min(res, 1 + _mis(adj, closed, mask & ~closed[b.bit_length() - 1], memo, False))
+    elif least <= 1:
+        res = 1 + _mis(adj, closed, mask & ~closed[u], memo, True)
+    else:
+        res = max(1 + _mis(adj, closed, mask & ~closed[w], memo, True),
+                  _mis(adj, closed, mask & ~(1 << w), memo, True))
     memo[mask] = res
     return res
 
@@ -134,71 +150,90 @@ def independent_domination_number(G: Graph) -> tuple[int, frozenset[int]]:
     return _lex_mis(G, G.closed_masks(), {}, False)
 
 
-# -- minimum dominating set -------------------------------------------------
+# -- minimum dominating set: set cover --------------------------------------
 
-def _lex_dominating(G: Graph, k: int) -> list[int] | None:
-    """Lexicographically first dominating set of size at most k."""
-    n = G.n
-    full = G.vertex_mask
-    closed = G.closed_masks()
-    # suffix coverage: union and max cover size over vertices >= i
-    suffix_cov = [0] * (n + 1)
-    suffix_max = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix_cov[i] = suffix_cov[i + 1] | closed[i]
-        suffix_max[i] = max(suffix_max[i + 1], closed[i].bit_count())
+def _cover(closed: list[int], need: int, cands: int, memo: dict) -> int | float:
+    """Fewest vertices of ``cands`` whose closed neighbourhoods cover ``need``.
 
-    chosen: list[int] = []
-
-    def rec(idx: int, dom: int) -> bool:
-        if dom == full:
-            return True
-        slots = k - len(chosen)
-        if slots == 0 or idx == n:
-            return False
-        need = full & ~dom
-        if need & ~suffix_cov[idx]:
-            return False
-        if slots * suffix_max[idx] < need.bit_count():
-            return False
-        for v in range(idx, n):
-            chosen.append(v)
-            if rec(v + 1, dom | closed[v]):
-                return True
-            chosen.pop()
-        return False
-
-    return list(chosen) if rec(0, 0) else None
-
-
-def _packing_bound(G: Graph) -> int:
-    """Size of a greedy 2-packing, taken in ascending degree order.
-
-    Vertices pairwise at distance >= 3 have disjoint closed neighborhoods, so
-    each needs a dominator of its own: a lower bound on gamma.
+    Infinite when some vertex of ``need`` has no neighbour in ``cands``.  Only
+    candidates meeting ``need`` are kept, and of two whose closed
+    neighbourhoods meet ``need`` in nested sets only the larger (on a tie the
+    lower index) is kept.  Vertices of ``need`` linked by no chain of shared
+    candidates are covered independently.  Otherwise the search branches on
+    the candidates of a vertex u with the fewest, each branch excluding those
+    tried before.
     """
-    closed = G.closed_masks()
-    blocked = 0
-    size = 0
-    for v in sorted(range(G.n), key=G.degree):
-        if not blocked >> v & 1:
-            size += 1
-            for u in bits(closed[v]):
-                blocked |= closed[u]
-    return size
+    if need == 0:
+        return 0
+    key = (need, cands)
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    useful = kept = _union(closed, need) & cands
+    m = useful
+    while m:
+        b = m & -m
+        m ^= b
+        part = closed[b.bit_length() - 1] & need
+        # a candidate covering ``part`` covers its lowest vertex
+        rivals = closed[(part & -part).bit_length() - 1] & useful
+        while rivals:
+            r = rivals & -rivals
+            rivals ^= r
+            other = closed[r.bit_length() - 1] & need
+            if part & other == part and (part != other or r < b):
+                kept ^= b
+                break
+    u, least = -1, kept.bit_count() + 1
+    m = need
+    while m:
+        b = m & -m
+        m ^= b
+        d = (closed[b.bit_length() - 1] & kept).bit_count()
+        if d < least:
+            u, least = b.bit_length() - 1, d
+    if least == 0:
+        res = float("inf")
+    else:
+        # the vertices of ``need`` linked to u, and the candidates meeting them
+        comp = inside = 0
+        frontier = 1 << u
+        while frontier:
+            comp |= frontier
+            via = _union(closed, frontier) & kept & ~inside
+            inside |= via
+            frontier = _union(closed, via) & need & ~comp
+        if comp != need:
+            res = _cover(closed, comp, inside, memo) + _cover(closed, need & ~comp, kept & ~inside, memo)
+        else:
+            res = float("inf")
+            for c in bits(closed[u] & kept):
+                kept ^= 1 << c
+                res = min(res, 1 + _cover(closed, need & ~closed[c], kept, memo))
+    memo[key] = res
+    return res
 
 
 def domination_number(G: Graph) -> tuple[int, frozenset[int]]:
-    """gamma(G) with the lexicographically smallest minimum dominating set."""
+    """gamma(G) with the lexicographically smallest minimum dominating set.
+
+    Walks the vertices in order and keeps v iff the chosen ones plus v can
+    still reach gamma with vertices above v.
+    """
     if G.n == 0:
         raise GraphError("domination undefined on the empty graph")
-    maxdeg = max(G.degree(v) for v in range(G.n))
-    lb = max(-(-G.n // (maxdeg + 1)), _packing_bound(G))
-    # the whole vertex set dominates, so some k <= n succeeds
-    for k in range(lb, G.n + 1):
-        found = _lex_dominating(G, k)
-        if found is not None:
-            return len(found), frozenset(found)
+    closed = G.closed_masks()
+    memo: dict[tuple[int, int], int | float] = {}
+    full = G.vertex_mask
+    total = _cover(closed, full, full, memo)
+    chosen = []
+    need = full
+    for v in range(G.n):
+        rest = need & ~closed[v]
+        if len(chosen) + 1 + _cover(closed, rest, full >> v + 1 << v + 1, memo) == total:
+            chosen.append(v)
+            need = rest
+    return total, frozenset(chosen)
 
 
 # -- profiles ---------------------------------------------------------------

@@ -137,7 +137,8 @@ def test_witnesses_are_lexicographically_smallest(g):
 @settings(max_examples=40, deadline=None)
 def test_sparse_solvers_match_brute_force(g):
     # components, isolated vertices and degree-1 vertices: the reductions of
-    # the independence search and the 2-packing bound of the domination search
+    # the independence search, and the component split and dominated
+    # candidates of the domination search
     p = parameter_profile(g)
     assert p.gamma == brute_domination(g)
     assert p.ind_dom == brute_independent_domination(g)
@@ -159,17 +160,23 @@ def test_cycles_and_paths_closed_forms(n):
         assert verify_witness(g, p)
 
 
+def _rooted(t):
+    """Breadth-first order of tree t from vertex 0, and each vertex's parent."""
+    order, parent = [0], {0: None}
+    for v in order:  # the list grows while it is walked
+        for u in set_of(t.adj[v]) - {parent[v]}:
+            parent[u] = v
+            order.append(u)
+    return order, parent
+
+
 def _tree_independent_domination(t):
     """i(T) by the linear-time tree DP of Beyer, Proskurowski, Hedetniemi & Mitchell (1977).
 
     Rooted at 0, each vertex v has three states: v in S; v out of S and
     dominated by a child; v out of S and left for its parent to dominate.
     """
-    order, parent = [0], {0: None}
-    for v in order:  # breadth-first; the list grows while it is walked
-        for u in set_of(t.adj[v]) - {parent[v]}:
-            parent[u] = v
-            order.append(u)
+    order, parent = _rooted(t)
     inside, below, above = {}, {}, {}
     for v in reversed(order):
         kids = set_of(t.adj[v]) - {parent[v]}
@@ -194,3 +201,53 @@ def test_independent_domination_on_trees_matches_dp():
             i, witness = independent_domination_number(t)
             assert i == _tree_independent_domination(t)
             assert t.is_independent(witness) and t.is_dominating(witness) and len(witness) == i
+
+
+def _tree_domination(t):
+    """gamma(T) by the linear-time tree DP of Cockayne, Goodman & Hedetniemi (1975).
+
+    Rooted at 0, each vertex v has three states: v in D; v out of D and
+    dominated by a child; v out of D and left for its parent to dominate.
+    """
+    order, parent = _rooted(t)
+    inside, below, above = {}, {}, {}
+    for v in reversed(order):
+        kids = set_of(t.adj[v]) - {parent[v]}
+        inside[v] = 1 + sum(min(inside[c], below[c], above[c]) for c in kids)
+        # every child in D or dominated below it, and at least one child in D
+        below[v] = sum(min(inside[c], below[c]) for c in kids) + min(
+            (max(0, inside[c] - below[c]) for c in kids), default=float("inf"))
+        above[v] = sum(below[c] for c in kids)
+    return min(inside[0], below[0])
+
+
+def test_domination_on_trees_matches_dp():
+    # the DP against the brute-force oracle on small trees, then the solver
+    # against the DP on two random trees per order 20..64
+    rng = random.Random(0)
+    for n in range(2, 11):
+        t = prufer_tree([rng.randrange(n) for _ in range(n - 2)], n)
+        assert _tree_domination(t) == brute_domination(t)
+    for n in range(20, 65):
+        for _ in range(2):
+            t = prufer_tree([rng.randrange(n) for _ in range(n - 2)], n)
+            gamma, witness = domination_number(t)
+            assert gamma == _tree_domination(t)
+            assert t.is_dominating(witness) and len(witness) == gamma
+
+
+def test_domination_matches_milp():
+    # independent oracle: gamma as a 0/1 program, min sum x subject to
+    # x(N[v]) >= 1 for every v, on G(40, 0.1)
+    np = pytest.importorskip("numpy")
+    optimize = pytest.importorskip("scipy.optimize")
+    n = 40
+    for seed in range(20):
+        rng = random.Random(seed)
+        g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.1])
+        rows = np.array([[row >> u & 1 for u in range(n)] for row in g.closed_masks()])
+        result = optimize.milp(np.ones(n), integrality=np.ones(n), bounds=optimize.Bounds(0, 1),
+                               constraints=optimize.LinearConstraint(rows, lb=1))
+        gamma, witness = domination_number(g)
+        assert result.success and gamma == round(result.fun)
+        assert g.is_dominating(witness) and len(witness) == gamma
