@@ -19,7 +19,7 @@ def main() -> int:
     print("-" * len(header))
     ok = True
     for pat in forbidden_catalog():
-        g = pat.graph()
+        g = pat.graph
         p = parameter_profile(g)
         minimal = is_minimal_imperfect(g)
         ok = ok and minimal and p.gamma < p.common_ind

@@ -16,16 +16,10 @@ from domiperf.graph import Graph, GraphError, build_graph
 
 @dataclass(frozen=True)
 class Pattern:
-    """A named catalog graph with its edge list on labels 1..order."""
+    """A named catalog graph on vertices 0..n-1 (label k of its drawing is vertex k - 1)."""
 
     name: str
-    order: int
-    edges: tuple[tuple[int, int], ...]
-
-    @cache
-    def graph(self) -> Graph:
-        """The pattern on vertices 0..order-1, built once per catalog pattern."""
-        return build_graph(self.order, [(u - 1, v - 1) for u, v in self.edges])
+    graph: Graph
 
 
 @dataclass(frozen=True)
@@ -65,14 +59,16 @@ FORBIDDEN_NAMES = tuple(f"H{k}" for k in range(1, 11))
 @cache
 def catalog() -> tuple[Pattern, ...]:
     """All named patterns; the forbidden ten come first, in order."""
-    pats = [Pattern(name, 6, edges) for name, edges in _H_EDGES.items()]
-    pats.extend(Pattern(name, order, edges) for name, (order, edges) in _UTILITY_EDGES.items())
-    by_name = {p.name: p for p in pats}
+    tables = {name: (6, edges) for name, edges in _H_EDGES.items()} | _UTILITY_EDGES
+    graphs = {
+        name: build_graph(order, [(u - 1, v - 1) for u, v in edges])
+        for name, (order, edges) in tables.items()
+    }
     # the catalog identities the class-restricted criteria rely on
     for a, b in (("H7", "TWO_P3"), ("H8", "P6"), ("H9", "C6")):
-        if certificate(by_name[a].graph().adj) != certificate(by_name[b].graph().adj):
+        if certificate(graphs[a].adj) != certificate(graphs[b].adj):
             raise GraphError(f"catalog graph {a} is not isomorphic to {b}")
-    return tuple(pats)
+    return tuple(Pattern(name, g) for name, g in graphs.items())
 
 
 @cache
@@ -89,20 +85,27 @@ def pattern_by_name(name: str) -> Pattern:
 
 
 def _search(host: Graph, pattern: Pattern, induced: bool) -> tuple[int, ...] | None:
-    pg = pattern.graph()
-    p = pg.n
+    padj = pattern.graph.adj
+    p = len(padj)
     if p > host.n:
         return None
-    full = host.vertex_mask
     hadj = host.adj
-    padj = pg.adj
-    pdeg = [pg.degree(v) for v in range(p)]
+    # every embedding maps q to a host vertex of at least q's degree;
+    # atleast[d] holds the host vertices of degree d or more
+    pdeg = [row.bit_count() for row in padj]
+    top = max(pdeg)
+    atleast = [0] * (top + 1)
+    for v, row in enumerate(hadj):
+        atleast[min(row.bit_count(), top)] |= 1 << v
+    for d in range(top - 1, -1, -1):
+        atleast[d] |= atleast[d + 1]
+    allowed = [atleast[d] for d in pdeg]
     mapping = [0] * p
 
     def extend(q: int, used: int) -> bool:
         if q == p:
             return True
-        cand = full & ~used
+        cand = allowed[q] & ~used
         for r in range(q):
             if padj[q] >> r & 1:
                 cand &= hadj[mapping[r]]
@@ -111,10 +114,7 @@ def _search(host: Graph, pattern: Pattern, induced: bool) -> tuple[int, ...] | N
         while cand:
             b = cand & -cand
             cand ^= b
-            v = b.bit_length() - 1
-            if not induced and host.degree(v) < pdeg[q]:
-                continue
-            mapping[q] = v
+            mapping[q] = b.bit_length() - 1
             if extend(q + 1, used | b):
                 return True
         return False
@@ -123,7 +123,7 @@ def _search(host: Graph, pattern: Pattern, induced: bool) -> tuple[int, ...] | N
 
 
 def find_induced(G: Graph, P: Pattern) -> Embedding | None:
-    """First induced embedding of P in G (backtracking order), or None."""
+    """The lexicographically smallest induced embedding of P in G, or None."""
     found = _search(G, P, induced=True)
     return Embedding(found) if found is not None else None
 
@@ -135,8 +135,6 @@ def contains_subgraph(G: Graph, P: Pattern) -> bool:
 
 def forbidden_free(G: Graph) -> tuple[bool, tuple[Pattern, Embedding] | None]:
     """Check the ten-pattern family in order; return the first witness if any."""
-    if G.n < 6:
-        return True, None
     for pat in forbidden_catalog():
         emb = find_induced(G, pat)
         if emb is not None:

@@ -18,7 +18,7 @@ def graphs(draw, min_n=0, max_n=8):
 
 
 def pattern_graph(name: str) -> Graph:
-    return pattern_by_name(name).graph()
+    return pattern_by_name(name).graph
 
 
 def prufer_tree(seq, n):

@@ -210,6 +210,12 @@ def test_canon_imports_only_graph():
     assert loaded == {"domiperf", "domiperf.canon", "domiperf.graph"}
 
 
+def test_patterns_import_no_tables_or_solvers():
+    # the theorem route stays independent of SubgraphTables and the exact solvers
+    loaded = _modules_loaded_by("import domiperf.patterns")
+    assert loaded == {"domiperf", "domiperf.patterns", "domiperf.canon", "domiperf.graph"}
+
+
 def test_enumeration_caps():
     with pytest.raises(GraphError):
         list(enumerate_graphs(9))

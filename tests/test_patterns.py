@@ -6,12 +6,14 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import domiperf
 from conftest import graphs
 from domiperf.graph import build_graph, complete_graph, cycle_graph, path_graph, star_graph
 from domiperf.graph_classes import corona_k1
 from domiperf.patterns import (
+    FORBIDDEN_NAMES,
     catalog,
     contains_subgraph,
     find_induced,
@@ -32,7 +34,7 @@ def test_catalog_contents():
 def test_pattern_lookup_tokens():
     assert pattern_by_name("H9").name == "H9"
     assert pattern_by_name("TWO_P3").name == "TWO_P3"
-    assert pattern_by_name("CLAW").order == 4
+    assert pattern_by_name("CLAW").graph.n == 4
     for token in ("H11", "h9", "claw", "2P3"):
         with pytest.raises(KeyError):
             pattern_by_name(token)
@@ -61,10 +63,10 @@ def test_contains_subgraph():
 
 def test_forbidden_free_self_witness():
     for pat in forbidden_catalog():
-        free, witness = forbidden_free(pat.graph())
+        free, witness = forbidden_free(pat.graph)
         assert not free
         wpat, emb = witness
-        assert _is_induced_map(pat.graph(), wpat, emb.mapping)
+        assert _is_induced_map(pat.graph, wpat, emb.mapping)
     free, witness = forbidden_free(build_graph(5, [(0, 1)]))
     assert free and witness is None
 
@@ -86,12 +88,12 @@ def test_no_forbidden_graph_contains_another():
         for b in forbidden_catalog():
             if a.name == b.name:
                 continue
-            assert find_induced(a.graph(), b) is None
+            assert find_induced(a.graph, b) is None
 
 
 def _is_induced_map(host, pat, mapping):
     """The naive pairwise test: an injective map that keeps edges and non-edges."""
-    pg = pat.graph()
+    pg = pat.graph
     return len(set(mapping)) == len(mapping) == pg.n and all(
         pg.adj[i] >> j & 1 == host.adj[mapping[i]] >> mapping[j] & 1
         for i in range(pg.n)
@@ -99,16 +101,52 @@ def _is_induced_map(host, pat, mapping):
     )
 
 
-def _brute_induced(host, pat):
-    return any(_is_induced_map(host, pat, perm) for perm in permutations(range(host.n), pat.order))
+def _brute_first_induced(host, pat):
+    """The first induced map in the lexicographic order of ``permutations``, or None."""
+    maps = permutations(range(host.n), pat.graph.n)
+    return next((perm for perm in maps if _is_induced_map(host, pat, perm)), None)
+
+
+def _assert_brute_force_witness(g):
+    for name in ("CLAW", "P4", "TWO_P3", *FORBIDDEN_NAMES):
+        pat = pattern_by_name(name)
+        emb = find_induced(g, pat)
+        assert (emb.mapping if emb else None) == _brute_first_induced(g, pat), name
 
 
 @given(graphs(max_n=7))
 @settings(max_examples=30, deadline=None)
 def test_backtracking_agrees_with_brute_force(g):
-    for name in ("CLAW", "P4", "TWO_P3", "H1"):
-        pat = pattern_by_name(name)
-        assert (find_induced(g, pat) is not None) == _brute_induced(g, pat)
+    # not only some embedding: the witness is the lexicographically smallest map
+    _assert_brute_force_witness(g)
+
+
+@st.composite
+def sparse_hosts(draw, max_n=7):
+    """A random tree with pendant paths, or a cycle with one chord, randomly relabeled.
+
+    Both have many vertices of degree at most 2, which the search skips for
+    pattern vertices of higher degree.
+    """
+    if draw(st.booleans()):
+        n = draw(st.integers(4, max_n))
+        edges = [(i, (i + 1) % n) for i in range(n)] + [(0, draw(st.integers(2, n - 2)))]
+    else:
+        n = draw(st.integers(1, 4))
+        edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+        while n < max_n and draw(st.booleans()):
+            length = draw(st.integers(1, max_n - n))
+            edges.append((draw(st.integers(0, n - 1)), n))
+            edges.extend((v, v + 1) for v in range(n, n + length - 1))
+            n += length
+    perm = draw(st.permutations(range(n)))
+    return build_graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@given(sparse_hosts())
+@settings(max_examples=30, deadline=None)
+def test_backtracking_agrees_with_brute_force_on_sparse_hosts(g):
+    _assert_brute_force_witness(g)
 
 
 @given(graphs(max_n=7))
