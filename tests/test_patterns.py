@@ -11,15 +11,17 @@ from hypothesis import strategies as st
 import domiperf
 from conftest import graphs
 from domiperf.graph import build_graph, complete_graph, cycle_graph, path_graph, star_graph
-from domiperf.graph_classes import corona_k1
+from domiperf.graph_classes import corona_k1, line_graph
 from domiperf.patterns import (
     FORBIDDEN_NAMES,
+    _plan,
     catalog,
     contains_subgraph,
     find_induced,
     forbidden_catalog,
     forbidden_free,
     is_claw_free,
+    is_pattern_free,
     pattern_by_name,
 )
 
@@ -156,6 +158,71 @@ def test_subgraph_weaker_than_induced(g):
         pat = pattern_by_name(name)
         if not contains_subgraph(g, pat):
             assert find_induced(g, pat) is None
+
+
+def _assert_witness_is_first_index_order_embedding(g):
+    first = next(((pat, emb) for pat in forbidden_catalog()
+                  if (emb := find_induced(g, pat)) is not None), None)
+    free, witness = forbidden_free(g)
+    assert free == (first is None)
+    assert witness == first
+
+
+@given(graphs(max_n=9))
+@settings(max_examples=60, deadline=None)
+def test_decision_order_keeps_the_witness(g):
+    # the verdict comes from the constraint-first search; the witness must
+    # still be the index-order search's embedding of the first H that embeds
+    _assert_witness_is_first_index_order_embedding(g)
+
+
+@given(graphs(max_n=6))
+@settings(max_examples=60, deadline=None)
+def test_decision_order_keeps_the_witness_on_line_graphs(h):
+    # line graphs are claw-free, so their hits are H7, H8 and H9
+    _assert_witness_is_first_index_order_embedding(line_graph(h))
+
+
+def _brute_contains(host, pat):
+    """An injective map that keeps every pattern edge, by trying all of them."""
+    pg = pat.graph
+    return any(
+        all(host.adj[perm[u]] >> perm[v] & 1 for u, v in pg.edges())
+        for perm in permutations(range(host.n), pg.n)
+    )
+
+
+@given(st.one_of(graphs(max_n=8), sparse_hosts(max_n=8)))
+@settings(max_examples=30, deadline=None)
+def test_verdict_only_searches_agree_with_brute_force(g):
+    for name in ("TWO_P4", "P7", "C6"):
+        pat = pattern_by_name(name)
+        assert contains_subgraph(g, pat) == _brute_contains(g, pat), name
+    assert is_claw_free(g) == (_brute_first_induced(g, pattern_by_name("CLAW")) is None)
+    names = ("H1", "H7", "H8")
+    assert is_pattern_free(g, names) == all(
+        _brute_first_induced(g, pattern_by_name(n)) is None for n in names)
+
+
+@pytest.mark.parametrize("pat", catalog(), ids=lambda p: p.name)
+def test_search_plans(pat):
+    pg = pat.graph
+    for induced in (True, False):
+        assert [s.vertex for s in _plan(pat, induced, True)] == list(range(pg.n))
+        steps = _plan(pat, induced, False)
+        assert sorted(s.vertex for s in steps) == list(range(pg.n))
+        for k, step in enumerate(steps):
+            before = {s.vertex for s in steps[:k]}
+
+            def rank(v):  # most placed neighbours, then higher degree, then lower index
+                return (len({r for r in before if pg.adj[v] >> r & 1}), pg.degree(v), -v)
+
+            assert rank(step.vertex) == max(rank(v) for v in set(range(pg.n)) - before)
+            assert step.degree == pg.degree(step.vertex)
+            assert set(step.placed) == {r for r in before if pg.adj[step.vertex] >> r & 1}
+            assert set(step.apart) == (before - set(step.placed) if induced else set())
+            if pg.is_connected() and k:
+                assert step.placed, (pat.name, step.vertex)
 
 
 def test_induced_monotone_under_extra_vertices():
