@@ -17,6 +17,9 @@ isomorphism invariant.  Two leaves with equal certificates give an
 automorphism.  At each node a child is skipped when the automorphisms found
 so far that fix the node's individualized vertices map an explored child
 onto it; its subtree then holds only certificates already seen.
+``certificate_and_automorphisms`` returns those automorphisms with the
+certificate.  Each one is genuine, but together they may generate only part of
+the automorphism group, since a leaf is compared with the best leaf alone.
 
 The tree certificate is the least rooted-subtree code at the tree's centres.
 """
@@ -98,9 +101,19 @@ def certificate(adj: Sequence[int]) -> tuple[int, ...]:
     Two graphs are isomorphic iff their certificates are equal.  ``adj`` must
     describe a simple graph; it is not validated.
     """
+    return certificate_and_automorphisms(adj)[0]
+
+
+def certificate_and_automorphisms(
+    adj: Sequence[int],
+) -> tuple[tuple[int, ...], list[list[int]]]:
+    """The certificate of the graph with rows ``adj`` and the automorphisms its search found.
+
+    An automorphism is a list ``g`` with ``g[u]`` the image of vertex ``u``.
+    """
     n = len(adj)
     if n <= 1:
-        return tuple(adj)
+        return tuple(adj), []
     best: tuple[int, ...] | None = None
     best_order: list[int] = []
     automorphisms: list[list[int]] = []
@@ -135,7 +148,7 @@ def certificate(adj: Sequence[int]) -> tuple[int, ...]:
 
     visit(_refine(adj, [list(range(n))], [(1 << n) - 1]), [])
     assert best is not None
-    return best
+    return best, automorphisms
 
 
 def canonical_graph(G: Graph) -> Graph:

@@ -10,6 +10,13 @@ constraint-first order (next the vertex with the most mapped neighbours).  A
 witness comes from the index order, whose first embedding is the
 lexicographically smallest; ``forbidden_free`` reruns it only for the first
 H that embeds.
+
+A yes/no plan also breaks the pattern's symmetry (Grochow & Kellis, "Network
+motif discovery using subgraph enumeration and symmetry-breaking", RECOMB
+2007).  An embedding composed with an automorphism of the pattern is again an
+embedding, so the plan asks a vertex's image to exceed the images of some
+earlier vertices, chosen so that exactly one embedding of each such family
+passes.  A witness plan has no such conditions.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple
 
-from domiperf.canon import certificate
+from domiperf.canon import certificate, certificate_and_automorphisms
 from domiperf.graph import Graph, GraphError, build_graph
 
 
@@ -94,17 +101,39 @@ def pattern_by_name(name: str) -> Pattern:
 
 class _Step(NamedTuple):
     """One step of a search: map ``vertex`` to a host vertex of degree at least
-    ``degree`` that is adjacent to the images of ``placed`` and, in induced
-    mode, not adjacent to the images of ``apart``."""
+    ``degree`` that is adjacent to the images of ``placed``, in induced mode
+    not adjacent to the images of ``apart``, and greater than the images of
+    ``above``."""
 
     vertex: int
     degree: int
     placed: tuple[int, ...]
     apart: tuple[int, ...]
+    above: tuple[int, ...]
 
 
 @cache
-def _plan(pattern: Pattern, induced: bool, witness: bool) -> tuple[_Step, ...]:
+def _automorphisms(pattern: Pattern) -> tuple[tuple[int, ...], ...]:
+    """The group generated by the automorphisms ``canon`` found, ``g[q]`` the image of ``q``.
+
+    A smaller group than the pattern's whole one would only break less
+    symmetry; for every catalog pattern it is the whole group.
+    """
+    generators = certificate_and_automorphisms(pattern.graph.adj)[1]
+    group = {tuple(range(pattern.graph.n))}
+    todo = list(group)
+    while todo:
+        g = todo.pop()
+        for s in generators:
+            h = tuple(s[v] for v in g)
+            if h not in group:
+                group.add(h)
+                todo.append(h)
+    return tuple(sorted(group))
+
+
+@cache
+def _plan(pattern: Pattern, induced: bool, witness: bool = False) -> tuple[_Step, ...]:
     """The order in which a search maps the pattern's vertices, built once.
 
     The witness order is 0..p-1, so the first embedding found is the
@@ -112,20 +141,37 @@ def _plan(pattern: Pattern, induced: bool, witness: bool) -> tuple[_Step, ...]:
     the most mapped neighbours, then the higher degree, then the lower index
     (greatest constraint first: Cordella et al., VF2, IEEE TPAMI 2004;
     Bonnici et al., RI, BMC Bioinformatics 2013).
+
+    The decision order also breaks symmetry: each vertex r in turn, with the
+    automorphisms that fix every vertex before it, asks the other vertices of
+    its orbit under them to take greater images than r (Grochow & Kellis).
+    Those vertices all come after r.  If q is in the orbits of r and of a
+    later r', then r' is in the orbit of r too and is bounded by r, so q's
+    bound from r' implies the one from r: each step keeps only its last bound.
     """
     padj = pattern.graph.adj
-    steps: list[_Step] = []
+    order: list[int] = []
     mapped = 0
     rest = list(range(len(padj)))
     while rest:
         q = rest[0] if witness else min(
             rest, key=lambda v: (-(padj[v] & mapped).bit_count(), -padj[v].bit_count(), v))
         rest.remove(q)
-        before = [s.vertex for s in steps]
-        steps.append(_Step(q, padj[q].bit_count(),
-                           tuple(r for r in before if padj[q] >> r & 1),
-                           tuple(r for r in before if induced and not padj[q] >> r & 1)))
+        order.append(q)
         mapped |= 1 << q
+    above: dict[int, int] = {}
+    if not witness:
+        group = _automorphisms(pattern)
+        for r in order:
+            for q in {g[r] for g in group} - {r}:
+                above[q] = r
+            group = tuple(g for g in group if g[r] == r)
+    steps = []
+    for i, q in enumerate(order):
+        steps.append(_Step(q, padj[q].bit_count(),
+                           tuple(r for r in order[:i] if padj[q] >> r & 1),
+                           tuple(r for r in order[:i] if induced and not padj[q] >> r & 1),
+                           (above[q],) if q in above else ()))
     return tuple(steps)
 
 
@@ -147,12 +193,14 @@ def _search(host: Graph, plan: tuple[_Step, ...]) -> tuple[int, ...] | None:
     def extend(i: int, used: int) -> bool:
         if i == p:
             return True
-        q, degree, placed, apart = plan[i]
+        q, degree, placed, apart, above = plan[i]
         cand = atleast[degree] & ~used
         for r in placed:
             cand &= hadj[mapping[r]]
         for r in apart:
             cand &= ~hadj[mapping[r]]
+        for r in above:
+            cand &= -2 << mapping[r]
         while cand:
             b = cand & -cand
             cand ^= b
@@ -165,7 +213,7 @@ def _search(host: Graph, plan: tuple[_Step, ...]) -> tuple[int, ...] | None:
 
 
 def _embeds(G: Graph, P: Pattern, induced: bool) -> bool:
-    return _search(G, _plan(P, induced, False)) is not None
+    return _search(G, _plan(P, induced)) is not None
 
 
 def find_induced(G: Graph, P: Pattern) -> Embedding | None:

@@ -8,6 +8,7 @@ from itertools import combinations, permutations
 import pytest
 
 from conftest import pattern_graph, prufer_tree
+from domiperf.canon import certificate, certificate_and_automorphisms
 from domiperf.enumeration import (
     VerificationReport,
     canonical_form,
@@ -18,6 +19,7 @@ from domiperf.enumeration import (
 )
 from domiperf.graph import Graph, GraphError, build_graph, complete_graph, cycle_graph, path_graph
 from domiperf.graph_classes import is_chordal
+from domiperf.universe import _all_graphs
 
 SMALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
 TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23}
@@ -89,6 +91,69 @@ def test_canonical_separates_symmetric_graphs():
     # same order, same degree sequence, not isomorphic: C6 and two triangles
     two_triangles = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     assert canonical_form(cycle_graph(6)) != canonical_form(two_triangles)
+
+
+def _image(mask, g):
+    """The vertex set ``mask`` mapped by the permutation ``g``."""
+    return sum(1 << g[v] for v in range(len(g)) if mask >> v & 1)
+
+
+def _is_automorphism(adj, g):
+    return sorted(g) == list(range(len(adj))) and all(
+        adj[g[u]] == _image(adj[u], g) for u in range(len(adj)))
+
+
+def _orbits(n, generators):
+    """The vertex orbits of the group the permutations generate, as sorted tuples."""
+    orbits = set()
+    for v in range(n):
+        orbit = 1 << v
+        while True:
+            grown = orbit
+            for g in generators:
+                grown |= _image(orbit, g)
+            if grown == orbit:
+                break
+            orbit = grown
+        orbits.add(tuple(u for u in range(n) if orbit >> u & 1))
+    return orbits
+
+
+def test_canon_automorphisms_preserve_adjacency():
+    graphs = [g for k in range(1, 8) for g in enumerate_graphs(k)] + list(_symmetric_graphs())
+    found = 0
+    for g in graphs:
+        cert, automorphisms = certificate_and_automorphisms(g.adj)
+        assert cert == certificate(g.adj)
+        assert all(_is_automorphism(g.adj, a) for a in automorphisms), g.adj
+        found += len(automorphisms)
+    assert found
+
+
+def test_canon_automorphism_orbits_match_brute_force():
+    # through order 6 the found generators have the orbits of the whole group
+    checked = 0
+    for k in range(1, 7):
+        for g in enumerate_graphs(k):
+            group = [p for p in permutations(range(k)) if _is_automorphism(g.adj, p)]
+            found = certificate_and_automorphisms(g.adj)[1]
+            assert _orbits(k, found) == _orbits(k, group), g.adj
+            checked += 1
+    assert checked == 208
+
+
+def test_orbit_pruned_growth_matches_naive_growth():
+    # every mask joined, the first child per certificate kept: the same rows
+    # in the same order as the growth that joins one mask per orbit
+    level = [(0,)]
+    for k in range(1, 7):
+        first: dict = {}
+        for rows in level:
+            for nbmask in range(1 << k):
+                child = tuple([rows[v] | (nbmask >> v & 1) << k for v in range(k)] + [nbmask])
+                first.setdefault(certificate(child), child)
+        level = [first[cert] for cert in sorted(first)]
+        assert [g.adj for g in _all_graphs(k + 1)] == level
 
 
 def test_canonical_graph_round_trips():

@@ -14,6 +14,7 @@ from domiperf.graph import build_graph, complete_graph, cycle_graph, path_graph,
 from domiperf.graph_classes import corona_k1, line_graph
 from domiperf.patterns import (
     FORBIDDEN_NAMES,
+    _automorphisms,
     _plan,
     catalog,
     contains_subgraph,
@@ -204,15 +205,36 @@ def test_verdict_only_searches_agree_with_brute_force(g):
         _brute_first_induced(g, pattern_by_name(n)) is None for n in names)
 
 
+FORBIDDEN_GROUP_ORDERS = {"H1": 8, "H2": 2, "H3": 4, "H4": 72, "H5": 4, "H6": 8, "H7": 8,
+                          "H8": 2, "H9": 12, "H10": 2}
+
+
 @pytest.mark.parametrize("pat", catalog(), ids=lambda p: p.name)
 def test_search_plans(pat):
     pg = pat.graph
+
+    def image(row, g):
+        return sum(1 << g[v] for v in range(pg.n) if row >> v & 1)
+
+    group = {g for g in permutations(range(pg.n))
+             if all(pg.adj[g[u]] == image(pg.adj[u], g) for u in range(pg.n))}
+    assert set(_automorphisms(pat)) == group
+    assert len(group) == FORBIDDEN_GROUP_ORDERS.get(pat.name, len(group))
     for induced in (True, False):
-        assert [s.vertex for s in _plan(pat, induced, True)] == list(range(pg.n))
+        witness_steps = _plan(pat, induced, True)
+        assert [s.vertex for s in witness_steps] == list(range(pg.n))
+        assert all(s.above == () for s in witness_steps)
         steps = _plan(pat, induced, False)
         assert sorted(s.vertex for s in steps) == list(range(pg.n))
+        # symmetry breaking (Grochow & Kellis): of the pattern's embeddings in
+        # itself, its automorphisms, exactly one meets every condition
+        passing = [g for g in group
+                   if all(g[s.vertex] > g[r] for s in steps for r in s.above)]
+        assert len(passing) == 1
         for k, step in enumerate(steps):
             before = {s.vertex for s in steps[:k]}
+            assert set(step.above) <= before
+            assert len(step.above) <= 1
 
             def rank(v):  # most placed neighbours, then higher degree, then lower index
                 return (len({r for r in before if pg.adj[v] >> r & 1}), pg.degree(v), -v)
