@@ -24,6 +24,7 @@ from domiperf.formats import (
     GraphRecord,
     emit_graph6,
     iter_graph6,
+    parse_count,
     parse_edge_list,
 )
 from domiperf.graph import GraphError
@@ -63,7 +64,7 @@ def _worker_count() -> int:
     if not env:
         return cpus
     try:
-        workers = int(env)
+        workers = parse_count(env)
     except ValueError:
         workers = 0
     if workers < 1:
@@ -121,13 +122,9 @@ def _one_based(S: Iterable[int]) -> list[int]:
 
 
 def _emit(lines: Iterable[str], output: str | None) -> None:
-    stream = open(output, "w", encoding="utf-8") if output else sys.stdout
-    try:
+    with open(output, "w", encoding="utf-8") if output else nullcontext(sys.stdout) as stream:
         for line in lines:
             stream.write(line + "\n")
-    finally:
-        if output:
-            stream.close()
 
 
 def _compute_record(rec: GraphRecord) -> str:

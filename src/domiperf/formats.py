@@ -3,7 +3,7 @@
 graph6 covers every order a ``Graph`` allows (n <= 64): the one-byte
 short-form header up to n = 62, the long form ("~" and three bytes) for
 n = 63 and 64.  The edge list is an input format only; it is 1-based: first
-line "n", then one "u v" pair per line.
+line "n", then one "u v" pair per line, each number in ASCII digits.
 """
 
 from __future__ import annotations
@@ -116,6 +116,13 @@ def iter_graph6(lines: Iterable[str]) -> Iterator[GraphRecord]:
             raise FormatError(f"line {lineno}: {exc}") from exc
 
 
+def parse_count(text: str) -> int:
+    """ASCII digits as an int; ``int`` alone also takes signs, "_" and other scripts' digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a count: {text!r}")
+    return int(text)
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse "n" followed by 1-based "u v" lines into a graph.
 
@@ -127,7 +134,7 @@ def parse_edge_list(text: str) -> Graph:
         raise FormatError("empty edge-list input")
     lineno, head = lines[0]
     try:
-        n = int(head)
+        n = parse_count(head)
     except ValueError:
         raise FormatError(f"line {lineno}: order line is not a number: {head!r}") from None
     if not 0 <= n <= MAX_ORDER:
@@ -138,7 +145,7 @@ def parse_edge_list(text: str) -> Graph:
         if len(parts) != 2:
             raise FormatError(f"line {lineno}: expected 'u v', got {ln!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = parse_count(parts[0]), parse_count(parts[1])
         except ValueError:
             raise FormatError(f"line {lineno}: non-numeric endpoint in {ln!r}") from None
         if not (1 <= u <= n and 1 <= v <= n):

@@ -155,13 +155,13 @@ def independent_domination_number(G: Graph) -> tuple[int, frozenset[int]]:
 def _cover(closed: list[int], need: int, cands: int, memo: dict) -> int | float:
     """Fewest vertices of ``cands`` whose closed neighbourhoods cover ``need``.
 
-    Infinite when some vertex of ``need`` has no neighbour in ``cands``.  Only
-    candidates meeting ``need`` are kept, and of two whose closed
-    neighbourhoods meet ``need`` in nested sets only the larger (on a tie the
-    lower index) is kept.  Vertices of ``need`` linked by no chain of shared
-    candidates are covered independently.  Otherwise the search branches on
-    the candidates of a vertex u with the fewest, each branch excluding those
-    tried before.
+    Infinite when some vertex of ``need`` has no neighbour in ``cands``: the
+    search branches on it and tries nothing.  Only candidates meeting ``need``
+    are kept, and of two whose closed neighbourhoods meet ``need`` in nested
+    sets only the larger (on a tie the lower index) is kept.  Vertices of
+    ``need`` linked by no chain of shared candidates are covered
+    independently.  Otherwise the search branches on the candidates of the
+    first vertex u with the fewest, each branch excluding those tried before.
     """
     if need == 0:
         return 0
@@ -192,24 +192,21 @@ def _cover(closed: list[int], need: int, cands: int, memo: dict) -> int | float:
         d = (closed[b.bit_length() - 1] & kept).bit_count()
         if d < least:
             u, least = b.bit_length() - 1, d
-    if least == 0:
-        res = float("inf")
+    # the vertices of ``need`` linked to u, and the candidates meeting them
+    comp = inside = 0
+    frontier = 1 << u
+    while frontier:
+        comp |= frontier
+        via = _union(closed, frontier) & kept & ~inside
+        inside |= via
+        frontier = _union(closed, via) & need & ~comp
+    if comp != need:
+        res = _cover(closed, comp, inside, memo) + _cover(closed, need & ~comp, kept & ~inside, memo)
     else:
-        # the vertices of ``need`` linked to u, and the candidates meeting them
-        comp = inside = 0
-        frontier = 1 << u
-        while frontier:
-            comp |= frontier
-            via = _union(closed, frontier) & kept & ~inside
-            inside |= via
-            frontier = _union(closed, via) & need & ~comp
-        if comp != need:
-            res = _cover(closed, comp, inside, memo) + _cover(closed, need & ~comp, kept & ~inside, memo)
-        else:
-            res = float("inf")
-            for c in bits(closed[u] & kept):
-                kept ^= 1 << c
-                res = min(res, 1 + _cover(closed, need & ~closed[c], kept, memo))
+        res = float("inf")
+        for c in bits(closed[u] & kept):
+            kept ^= 1 << c
+            res = min(res, 1 + _cover(closed, need & ~closed[c], kept, memo))
     memo[key] = res
     return res
 

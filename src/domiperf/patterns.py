@@ -7,16 +7,16 @@ pairs) share the same search engine so the class-restricted criteria reuse it.
 The search maps pattern vertices one at a time, following a step plan built
 once per pattern, mode and order.  A yes/no answer comes from the
 constraint-first order (next the vertex with the most mapped neighbours).  A
-witness comes from the index order, whose first embedding is the
-lexicographically smallest; ``forbidden_free`` reruns it only for the first
-H that embeds.
+witness comes from the index order; ``forbidden_free`` reruns it only for the
+first H that embeds.
 
-A yes/no plan also breaks the pattern's symmetry (Grochow & Kellis, "Network
-motif discovery using subgraph enumeration and symmetry-breaking", RECOMB
-2007).  An embedding composed with an automorphism of the pattern is again an
+Every plan breaks the pattern's symmetry (Grochow & Kellis, "Network motif
+discovery using subgraph enumeration and symmetry-breaking", RECOMB 2007).
+An embedding composed with an automorphism of the pattern is again an
 embedding, so the plan asks a vertex's image to exceed the images of some
 earlier vertices, chosen so that exactly one embedding of each such family
-passes.  A witness plan has no such conditions.
+passes: the first in plan order.  In index order that is the
+lexicographically smallest, so the witness search still finds it first.
 """
 
 from __future__ import annotations
@@ -136,18 +136,19 @@ def _automorphisms(pattern: Pattern) -> tuple[tuple[int, ...], ...]:
 def _plan(pattern: Pattern, induced: bool, witness: bool = False) -> tuple[_Step, ...]:
     """The order in which a search maps the pattern's vertices, built once.
 
-    The witness order is 0..p-1, so the first embedding found is the
-    lexicographically smallest.  The decision order maps next the vertex with
-    the most mapped neighbours, then the higher degree, then the lower index
-    (greatest constraint first: Cordella et al., VF2, IEEE TPAMI 2004;
-    Bonnici et al., RI, BMC Bioinformatics 2013).
+    The decision order maps next the vertex with the most mapped neighbours,
+    then the higher degree, then the lower index (greatest constraint first:
+    Cordella et al., VF2, IEEE TPAMI 2004; Bonnici et al., RI, BMC
+    Bioinformatics 2013).  The witness order is 0..p-1.
 
-    The decision order also breaks symmetry: each vertex r in turn, with the
-    automorphisms that fix every vertex before it, asks the other vertices of
-    its orbit under them to take greater images than r (Grochow & Kellis).
-    Those vertices all come after r.  If q is in the orbits of r and of a
-    later r', then r' is in the orbit of r too and is bounded by r, so q's
-    bound from r' implies the one from r: each step keeps only its last bound.
+    Both orders break symmetry: each vertex r in turn, with the automorphisms
+    that fix every vertex before it, asks the other vertices of its orbit
+    under them to take greater images than r (Grochow & Kellis).  Those come
+    after r.  A vertex bounded by r and by a later r' has r' in r's orbit, so
+    its bound from r' implies the one from r: each step keeps its last bound.
+    Of embeddings that differ by an automorphism, the least in plan order
+    passes, so in index order the first embedding found is still the
+    lexicographically smallest.
     """
     padj = pattern.graph.adj
     order: list[int] = []
@@ -160,12 +161,11 @@ def _plan(pattern: Pattern, induced: bool, witness: bool = False) -> tuple[_Step
         order.append(q)
         mapped |= 1 << q
     above: dict[int, int] = {}
-    if not witness:
-        group = _automorphisms(pattern)
-        for r in order:
-            for q in {g[r] for g in group} - {r}:
-                above[q] = r
-            group = tuple(g for g in group if g[r] == r)
+    group = _automorphisms(pattern)
+    for r in order:
+        for q in {g[r] for g in group} - {r}:
+            above[q] = r
+        group = tuple(g for g in group if g[r] == r)
     steps = []
     for i, q in enumerate(order):
         steps.append(_Step(q, padj[q].bit_count(),
@@ -231,8 +231,8 @@ def forbidden_free(G: Graph) -> tuple[bool, tuple[Pattern, Embedding] | None]:
     """Check the ten-pattern family in order; return the first witness if any.
 
     Each pattern is decided in constraint-first order; only for the first one
-    that embeds is the index-order search rerun, so the witness is still the
-    lexicographically smallest embedding of that pattern.
+    that embeds is the index-order search rerun, whose symmetry conditions
+    keep the lexicographically smallest embedding: that is the witness.
     """
     for pat in forbidden_catalog():
         if _embeds(G, pat, True):

@@ -42,8 +42,9 @@ class SubgraphTables:
     """Bitmask tables for gamma and alpha_c over every induced subgraph.
 
     gamma comes from exhaustive minimization over dominating subsets (the
-    3^n subset-of-subset sweep), alpha from the standard include/exclude DP
-    on the lowest vertex.  Cost is exponential; capped at ``MAX_SWEEP_ORDER``.
+    3^n subset-of-subset sweep), alpha from the include/exclude DP on the
+    lowest vertex; it and the neighbourhood unions read only smaller masks,
+    so one pass fills both.  Cost is exponential; capped at ``MAX_SWEEP_ORDER``.
     """
 
     def __init__(self, G: Graph):
@@ -56,14 +57,11 @@ class SubgraphTables:
         self.closed = closed
 
         ncl = [0] * size
-        for m in range(1, size):
-            lb = m & -m
-            ncl[m] = ncl[m ^ lb] | closed[lb.bit_length() - 1]
-
         alpha = [0] * size
         for m in range(1, size):
             lb = m & -m
             v = lb.bit_length() - 1
+            ncl[m] = ncl[m ^ lb] | closed[v]
             without = alpha[m ^ lb]
             with_v = 1 + alpha[m & ~closed[v]]
             alpha[m] = with_v if with_v > without else without

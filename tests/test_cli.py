@@ -309,7 +309,7 @@ def test_missing_file_exits_two(capsys):
     assert code == 2 and "domiperf:" in err
 
 
-@pytest.mark.parametrize("value", ["many", "0", "-3"])
+@pytest.mark.parametrize("value", ["many", "0", "-3", "1_0", "+2"])
 def test_bad_workers_env_exits_two(tmp_path, capsys, monkeypatch, value):
     monkeypatch.setenv("DOMIPERF_WORKERS", value)
     src = tmp_path / "in.g6"

@@ -128,7 +128,9 @@ def test_parse_edge_list_k1():
 
 @pytest.mark.parametrize(
     "text",
-    ["", "x\n", "3\n1\n", "3\n1 b\n", "3\n0 2\n", "3\n1 4\n", "3\n2 2\n"],
+    ["", "x\n", "3\n1\n", "3\n1 b\n", "3\n0 2\n", "3\n1 4\n", "3\n2 2\n",
+     # int() reads these as 10, 0, 2 and 3: only ASCII digits are a count
+     "1_0\n", "-0\n", "3\n1 0_2\n", "\u0663\n"],
 )
 def test_edge_list_errors(text):
     with pytest.raises(FormatError):

@@ -6,6 +6,7 @@ from hypothesis import given
 
 from conftest import graphs, pattern_graph
 from domiperf.graph import (
+    Graph,
     GraphError,
     build_graph,
     complete_graph,
@@ -42,6 +43,26 @@ def test_duplicate_edges_collapse():
 def test_build_rejects(n, edges):
     with pytest.raises(GraphError):
         build_graph(n, edges)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Graph(65, (0,) * 65),                 # order outside 0..64
+        lambda: Graph(-1, ()),
+        lambda: Graph(3, (0b010, 0b001)),             # two rows for order 3
+        lambda: Graph(2, (0b110, 0b001)),             # row bit 2 >= n
+        lambda: Graph(2, (0b011, 0b001)),             # loop at vertex 0
+        lambda: Graph(3, (0b010, 0b000, 0b000)),      # 0 sees 1, 1 does not see 0
+        lambda: path_graph(3).induced([0, 3]),        # vertex out of range
+        lambda: path_graph(3).induced([-1]),
+        lambda: path_graph(3).is_dominating([1, 3]),  # set outside the host
+        lambda: path_graph(3).is_independent([4]),
+    ],
+)
+def test_graph_checks_its_input(make):
+    with pytest.raises(GraphError):
+        make()
 
 
 def test_induced_full_set_is_identity():

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import forests_and_cycles, graphs, pattern_graph, prufer_tree
+from domiperf import invariants
 from domiperf.graph import (
     GraphError,
+    bits,
     build_graph,
     complete_graph,
     cycle_graph,
@@ -26,6 +28,7 @@ from domiperf.invariants import (
     parameter_profile,
     verify_witness,
 )
+from domiperf.universe import enumerate_up_to
 
 
 def test_domination_examples():
@@ -131,6 +134,29 @@ def _check_lexicographic_witnesses(g):
 @settings(max_examples=40, deadline=None)
 def test_witnesses_are_lexicographically_smallest(g):
     _check_lexicographic_witnesses(g)
+
+
+def test_witnesses_are_lexicographically_smallest_through_order_6():
+    for g in enumerate_up_to(6):
+        _check_lexicographic_witnesses(g)
+
+
+def test_cover_never_meets_a_vertex_without_candidates(monkeypatch):
+    # _cover has no branch of its own for such a vertex: none of these calls
+    # needs one, and its empty branch loop would return infinity anyway
+    cover = invariants._cover
+    calls = 0
+
+    def checked(closed, need, cands, memo):
+        nonlocal calls
+        calls += 1
+        assert all(closed[v] & cands for v in bits(need)), (need, cands)
+        return cover(closed, need, cands, memo)
+
+    monkeypatch.setattr(invariants, "_cover", checked)
+    for g in enumerate_up_to(7):
+        assert domination_number(g)[0] == brute_domination(g)
+    assert calls > 10_000
 
 
 @given(forests_and_cycles(max_n=14))

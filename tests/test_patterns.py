@@ -220,29 +220,32 @@ def test_search_plans(pat):
              if all(pg.adj[g[u]] == image(pg.adj[u], g) for u in range(pg.n))}
     assert set(_automorphisms(pat)) == group
     assert len(group) == FORBIDDEN_GROUP_ORDERS.get(pat.name, len(group))
-    for induced in (True, False):
-        witness_steps = _plan(pat, induced, True)
-        assert [s.vertex for s in witness_steps] == list(range(pg.n))
-        assert all(s.above == () for s in witness_steps)
-        steps = _plan(pat, induced, False)
+    for induced, witness in ((True, True), (False, True), (True, False), (False, False)):
+        steps = _plan(pat, induced, witness)
         assert sorted(s.vertex for s in steps) == list(range(pg.n))
-        # symmetry breaking (Grochow & Kellis): of the pattern's embeddings in
-        # itself, its automorphisms, exactly one meets every condition
+        # symmetry breaking (Grochow & Kellis), in both orders: of the
+        # pattern's embeddings in itself, its automorphisms, exactly one meets
+        # every condition; in index order it is the least, the identity
         passing = [g for g in group
                    if all(g[s.vertex] > g[r] for s in steps for r in s.above)]
         assert len(passing) == 1
+        if witness:
+            assert [s.vertex for s in steps] == list(range(pg.n))
+            assert passing == [tuple(range(pg.n))]
         for k, step in enumerate(steps):
             before = {s.vertex for s in steps[:k]}
             assert set(step.above) <= before
             assert len(step.above) <= 1
+            assert step.degree == pg.degree(step.vertex)
+            assert set(step.placed) == {r for r in before if pg.adj[step.vertex] >> r & 1}
+            assert set(step.apart) == (before - set(step.placed) if induced else set())
+            if witness:
+                continue
 
             def rank(v):  # most placed neighbours, then higher degree, then lower index
                 return (len({r for r in before if pg.adj[v] >> r & 1}), pg.degree(v), -v)
 
             assert rank(step.vertex) == max(rank(v) for v in set(range(pg.n)) - before)
-            assert step.degree == pg.degree(step.vertex)
-            assert set(step.placed) == {r for r in before if pg.adj[step.vertex] >> r & 1}
-            assert set(step.apart) == (before - set(step.placed) if induced else set())
             if pg.is_connected() and k:
                 assert step.placed, (pat.name, step.vertex)
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from itertools import combinations
 
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 
 from conftest import graphs, pattern_graph
 from domiperf.graph import GraphError, build_graph, complete_graph, cycle_graph, path_graph
+from domiperf.graph_classes import line_graph
 from domiperf.invariants import brute_common_independence, brute_domination, parameter_profile
 from domiperf.enumeration import canonical_form, enumerate_graphs, enumerate_up_to
 from domiperf.perfection import (
@@ -167,3 +170,18 @@ def test_scans_match_brute_force_in_ascending_order():
     cases += [build_graph(8, [p for p in pairs if rng.random() < 0.5]) for _ in range(30)]
     for g in cases:
         _check_scans_by_brute_force(g)
+
+
+# sha256 over (perfect, pattern name, mapping) of perfect_by_theorem on every
+# graph of order <= 7, then the line graphs of every host of order <= 6
+THEOREM_WITNESS_DIGEST = "c4ce93bb6ba992e56bd6864632bae12e5b5242d6eeec273d3495fc570e0605a3"
+
+
+def test_theorem_witnesses_are_pinned():
+    # a change to the pattern searches must not move a witness
+    digest = hashlib.sha256()
+    for g in [*enumerate_up_to(7), *map(line_graph, enumerate_up_to(6))]:
+        v = perfect_by_theorem(g)
+        pat, emb = v.witness or (None, None)
+        digest.update(json.dumps([v.perfect, pat and pat.name, emb and emb.mapping]).encode() + b"\n")
+    assert digest.hexdigest() == THEOREM_WITNESS_DIGEST
