@@ -3,9 +3,11 @@
 One JSON record per input graph on stdout; witness vertex sets use 1-based
 labels matching the edge-list convention.  Exit codes: 0 success/verified,
 1 a property fails or a counterexample exists, 2 usage or parse errors.
-``classify`` maps its records over a process pool of one worker per CPU;
-DOMIPERF_WORKERS, a positive integer, caps that count.  ``compute`` is cheaper
-per graph than the pool's overhead and runs in this process.
+``classify`` maps its records, and ``verify`` its sweeps, over a process pool
+of one worker per CPU; DOMIPERF_WORKERS, a positive integer, caps that count.
+A verify report's ``elapsed_seconds`` is the sum of its suite's own sweep
+times, wherever they ran.  ``compute`` is cheaper per graph than the pool's
+overhead and ``search-minimal`` is a single search; both run in this process.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from domiperf.formats import (
     FormatError,
@@ -72,6 +74,22 @@ def _worker_count() -> int:
     return min(workers, cpus)
 
 
+def _order(text: str) -> int:
+    """An ``--order`` value: ASCII digits, with a leading "-" left for the drivers to refuse."""
+    try:
+        return -parse_count(text[1:]) if text.startswith("-") else parse_count(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an order: {text!r}") from None
+
+
+def _pool_map(fn: Callable, items: Sequence, workers: int) -> Iterator:
+    """fn over items, results in input order; on a process pool if ``workers`` > 1 and
+    there are at least two items."""
+    parallel = workers > 1 and len(items) > 1
+    with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
+        yield from pool.map(fn, items) if pool else map(fn, items)
+
+
 def _map_records(
     fn: Callable, located: Sequence[tuple[str, GraphRecord]], workers: int = 1
 ) -> list:
@@ -82,15 +100,13 @@ def _map_records(
     """
     records = [rec for _, rec in located]
     results: list = []
-    parallel = workers > 1 and len(records) >= 2 * workers
-    with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
-        try:
-            for result in pool.map(fn, records) if pool else map(fn, records):
-                results.append(result)
-        except GraphError as exc:
-            path, rec = located[len(results)]
-            where = f"{path}: line {rec.line_number}" if path else f"line {rec.line_number}"
-            raise GraphError(f"{where}: {exc}") from exc
+    try:
+        for result in _pool_map(fn, records, workers if len(records) >= 2 * workers else 1):
+            results.append(result)
+    except GraphError as exc:
+        path, rec = located[len(results)]
+        where = f"{path}: line {rec.line_number}" if path else f"line {rec.line_number}"
+        raise GraphError(f"{where}: {exc}") from exc
     return results
 
 
@@ -191,13 +207,9 @@ def cmd_classify(args) -> int:
 def cmd_verify(args) -> int:
     from domiperf import enumeration
 
-    suites = {
-        "theorem": lambda: enumeration.verify_theorem(args.order),
-        "chain": lambda: enumeration.verify_chain(args.order),
-        "corollaries": lambda: enumeration.verify_corollaries(args.order),
-    }
-    names = list(suites) if args.suite == "all" else [args.suite]
-    reports = [suites[name]() for name in names]
+    names = list(enumeration.SUITES) if args.suite == "all" else [args.suite]
+    mapper = partial(_pool_map, workers=_worker_count())
+    reports = enumeration.verify_suites(names, args.order, mapper)
     _emit((r.to_json() for r in reports), args.output)
     return EXIT_OK if all(r.clean for r in reports) else EXIT_NEGATIVE
 
@@ -238,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("verify", help="exhaustive verification over a universe")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_order, required=True)
     p.add_argument(
         "--suite", choices=("theorem", "corollaries", "chain", "all"), default="all"
     )
@@ -246,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("search-minimal", help="minimal imperfect graphs of one order")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_order, required=True)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_search_minimal)
 

@@ -1,10 +1,13 @@
 import io
 import json
+import re
 import sys
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from conftest import pattern_graph
+from domiperf import cli, enumeration
 from domiperf.cli import _worker_count, main
 from domiperf.enumeration import MAX_ENUM_ORDER, canonical_form
 from domiperf.formats import emit_graph6, parse_graph6
@@ -99,6 +102,38 @@ def test_verify_rejects_orders_below_one(capsys, order):
     code, out, err = _run(capsys, ["verify", "--order", str(order)])
     assert (code, out) == (2, "")
     assert "verification starts at order 1" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "search-minimal"])
+@pytest.mark.parametrize("order", ["1_0", "٠", "+7"])
+def test_order_is_ascii_digits(capsys, command, order):
+    # refused as a usage error; int() would read 10, 0 and 7
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--order", order])
+    assert exc.value.code == 2
+    assert "argument --order" in capsys.readouterr().err
+
+
+def test_verify_on_two_workers_matches_one(capsys, monkeypatch):
+    code, serial, _ = _run(capsys, ["verify", "--order", "6", "--suite", "all"])
+    pools = []
+
+    class CountedPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setenv("DOMIPERF_WORKERS", "2")
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", CountedPool)
+    pooled_code, pooled, _ = _run(capsys, ["verify", "--order", "6", "--suite", "all"])
+    assert pools == [2]
+
+    def timeless(out):
+        return re.sub(r'"elapsed_seconds": [0-9.e-]+', '"elapsed_seconds": 0', out)
+
+    assert code == pooled_code == 0 and len(serial.splitlines()) == 3
+    assert timeless(pooled) == timeless(serial)
 
 
 def test_verify_above_enumeration_cap_exits_two_at_once(capsys):
@@ -316,6 +351,11 @@ def test_bad_workers_env_exits_two(tmp_path, capsys, monkeypatch, value):
     src.write_text("@\n")
     code, _, err = _run(capsys, ["classify", str(src)])
     assert code == 2
+    assert "DOMIPERF_WORKERS" in err
+    # verify resolves the worker count before its first sweep
+    monkeypatch.setattr(enumeration, "run_sweep", lambda *a, **k: pytest.fail("a sweep ran"))
+    code, out, err = _run(capsys, ["verify", "--order", "3"])
+    assert (code, out) == (2, "")
     assert "DOMIPERF_WORKERS" in err
 
 

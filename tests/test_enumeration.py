@@ -1,8 +1,10 @@
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
+from functools import partial
 from itertools import combinations, permutations
 
 import pytest
@@ -10,10 +12,15 @@ import pytest
 from conftest import pattern_graph, prufer_tree
 from domiperf.canon import certificate, certificate_and_automorphisms
 from domiperf.enumeration import (
+    COUNTEREXAMPLE_CAP,
+    DISPATCH,
+    SUITES,
     VerificationReport,
     canonical_form,
     canonical_graph,
     enumerate_graphs,
+    merge_reports,
+    run_sweep,
     verify_chain,
     verify_theorem,
 )
@@ -325,3 +332,34 @@ def test_counterexample_cap():
         report.record(False, {"i": i})
     assert report.counterexample_total == 150
     assert len(report.counterexamples) == 100
+
+
+def test_dispatch_runs_every_sweep_once_and_pickles():
+    in_suites = [sweep for sweeps in SUITES.values() for sweep in sweeps]
+    assert len(set(in_suites)) == len(in_suites) == len(DISPATCH) == len(set(DISPATCH))
+    assert set(DISPATCH) == set(in_suites)
+    task = pickle.loads(pickle.dumps(partial(run_sweep, order_max=3)))
+    for sweep in DISPATCH:
+        assert pickle.loads(pickle.dumps(sweep)) is sweep
+    # the cheapest sweep, sent and brought back as a pool worker would
+    report = pickle.loads(pickle.dumps(task(pickle.loads(pickle.dumps(DISPATCH[-1])))))
+    assert report.clean and report.checked == 52 and report.elapsed_seconds > 0
+
+
+def test_merge_keeps_the_first_counterexamples_in_sweep_order():
+    parts = []
+    for k, (checked, failing) in enumerate([(60, 60), (5, 0), (150, 150)]):
+        part = VerificationReport(universe=f"sweep {k}", elapsed_seconds=0.5 * k,
+                                  notes=[f"note {k}"])
+        for i in range(checked):
+            part.record(i >= failing, {"sweep": k, "i": i})
+        parts.append(part)
+    report = merge_reports("demo", parts)
+    assert report.universe == "demo"
+    assert (report.checked, report.agreements, report.counterexample_total) == (215, 5, 210)
+    assert len(report.counterexamples) == COUNTEREXAMPLE_CAP
+    assert report.counterexamples == (
+        [{"sweep": 0, "i": i} for i in range(60)] + [{"sweep": 2, "i": i} for i in range(40)]
+    )
+    assert report.notes == ["note 0", "note 1", "note 2"]
+    assert report.elapsed_seconds == 1.5
