@@ -21,9 +21,11 @@ from contextlib import nullcontext
 from functools import partial
 from typing import Callable, Iterable, Iterator, Sequence
 
+from domiperf.enumeration import SUITES, verify_suites
 from domiperf.formats import (
     FormatError,
     GraphRecord,
+    _split_lines,
     emit_graph6,
     iter_graph6,
     parse_count,
@@ -120,14 +122,14 @@ def _read_records(args) -> list[tuple[str, GraphRecord]]:
         try:
             text = data.decode("ascii")
         except UnicodeDecodeError as exc:
-            # the byte's line as the parsers count lines: splitlines on the text before it
-            line = len((data[: exc.start] + b".").decode("ascii").splitlines())
+            # the byte's line as the parsers count lines
+            line = len(_split_lines(data[: exc.start].decode("ascii")))
             raise FormatError(f"{where}line {line}: byte {data[exc.start]} is not ASCII") from None
         try:
             if args.format == "edges":
                 located.append((path, GraphRecord(1, parse_edge_list(text))))
             else:
-                located.extend((path, rec) for rec in iter_graph6(text.splitlines()))
+                located.extend((path, rec) for rec in iter_graph6(_split_lines(text)))
         except FormatError as exc:
             raise FormatError(f"{where}{exc}") from exc
     return located
@@ -205,11 +207,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from domiperf import enumeration
-
-    names = list(enumeration.SUITES) if args.suite == "all" else [args.suite]
+    names = list(SUITES) if args.suite == "all" else [args.suite]
     mapper = partial(_pool_map, workers=_worker_count())
-    reports = enumeration.verify_suites(names, args.order, mapper)
+    reports = verify_suites(names, args.order, mapper)
     _emit((r.to_json() for r in reports), args.output)
     return EXIT_OK if all(r.clean for r in reports) else EXIT_NEGATIVE
 
@@ -251,9 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="exhaustive verification over a universe")
     p.add_argument("--order", type=_order, required=True)
-    p.add_argument(
-        "--suite", choices=("theorem", "corollaries", "chain", "all"), default="all"
-    )
+    p.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_verify)
 

@@ -3,13 +3,13 @@
 A sweep checks every graph of a universe from :mod:`domiperf.universe` and
 tallies the agreements of independent routes in a report of its own.  Each
 sweep is a module-level function of the order, so a process pool can run it.
-A suite is a tuple of sweeps (``SUITES``), and its JSON-serializable report
-merges theirs in that order (``merge_reports``).  ``verify_suites`` runs the
-sweeps of several suites through a ``map``, the built-in one or a pool's,
-heaviest first (``DISPATCH``); ``verify_theorem``, ``verify_chain`` and
-``verify_corollaries`` run one suite in this process.  The universes' public
-names and ``canonical_graph`` from :mod:`domiperf.canon` are re-exported
-here; ``canonical_form`` names the minimal imperfect graphs a sweep finds.
+A suite is an entry of ``SUITES``: its report label and its sweeps, and its
+JSON-serializable report merges theirs in that order (``merge_reports``).
+``verify_suites``, the one driver, runs the sweeps of the suites it is given
+through a ``map``, the built-in one or a pool's, heaviest first
+(``DISPATCH``).  The universes' public names and ``canonical_graph`` from
+:mod:`domiperf.canon` are re-exported here; ``canonical_form`` names the
+minimal imperfect graphs a sweep finds.
 """
 
 from __future__ import annotations
@@ -49,8 +49,7 @@ from domiperf.universe import MAX_ENUM_ORDER, MAX_TREE_ORDER, enumerate_graphs, 
 __all__ = [
     "COUNTEREXAMPLE_CAP", "DISPATCH", "MAX_ENUM_ORDER", "MAX_TREE_ORDER", "SUITES",
     "VerificationReport", "canonical_form", "canonical_graph",
-    "enumerate_graphs", "enumerate_up_to", "merge_reports", "run_sweep", "verify_chain",
-    "verify_corollaries", "verify_suites", "verify_theorem",
+    "enumerate_graphs", "enumerate_up_to", "merge_reports", "run_sweep", "verify_suites",
 ]
 
 COUNTEREXAMPLE_CAP = 100
@@ -76,13 +75,14 @@ class VerificationReport:
     elapsed_seconds: float = 0.0
     notes: list[str] = field(default_factory=list)
 
-    def record(self, ok: bool, detail: dict | None = None) -> None:
+    def record(self, detail: dict | None) -> None:
+        """Count one graph: an agreement if ``detail`` is None, else a counterexample."""
         self.checked += 1
-        if ok:
+        if detail is None:
             self.agreements += 1
         else:
             self.counterexample_total += 1
-            if detail is not None and len(self.counterexamples) < COUNTEREXAMPLE_CAP:
+            if len(self.counterexamples) < COUNTEREXAMPLE_CAP:
                 self.counterexamples.append(detail)
 
     @property
@@ -115,8 +115,7 @@ def _tally(
     """
     report = VerificationReport(universe=sweep)
     for G in graphs:
-        detail = check(G)
-        report.record(detail is None, detail)
+        report.record(check(G))
     if note is not None:
         report.notes.append(note.format(report.checked))
     return report
@@ -237,12 +236,15 @@ def _middle_sweep(order_max: int) -> VerificationReport:
     return report
 
 
-# suite -> its sweeps, in report order
+# suite -> its report label, a template for the order, and its sweeps in report order
 SUITES = {
-    "theorem": (_theorem_sweep,),
-    "chain": (_chain_sweep,),
-    "corollaries": (_tree_sweep, _chordal_sweep, _claw_free_sweep, _block_sweep, _line_sweep,
-                    _middle_sweep),
+    "theorem": ("all graphs, orders 1..{}", (_theorem_sweep,)),
+    "chain": ("all graphs, orders 1..{}", (_chain_sweep,)),
+    "corollaries": (
+        f"corollary sweeps: trees<={MAX_TREE_ORDER}, classes<={{}}, "
+        f"line hosts<={LINE_HOST_ORDER}, middle hosts<={MIDDLE_HOST_ORDER}",
+        (_tree_sweep, _chordal_sweep, _claw_free_sweep, _block_sweep, _line_sweep, _middle_sweep),
+    ),
 }
 
 # Every sweep once, heaviest first: workers take them in this order, so the
@@ -253,13 +255,6 @@ SUITES = {
 # the universe to order 7 once (0.44 s).
 DISPATCH = (_line_sweep, _theorem_sweep, _tree_sweep, _claw_free_sweep, _chain_sweep,
             _chordal_sweep, _block_sweep, _middle_sweep)
-
-
-def _universe(suite: str, order_max: int) -> str:
-    if suite == "corollaries":
-        return (f"corollary sweeps: trees<={MAX_TREE_ORDER}, classes<={order_max}, "
-                f"line hosts<={LINE_HOST_ORDER}, middle hosts<={MIDDLE_HOST_ORDER}")
-    return f"all graphs, orders 1..{order_max}"
 
 
 def run_sweep(sweep: Callable[[int], VerificationReport], order_max: int) -> VerificationReport:
@@ -295,24 +290,10 @@ def verify_suites(
     report order.
     """
     _check_order(order_max)
-    wanted = {sweep for suite in suites for sweep in SUITES[suite]}
+    wanted = {sweep for suite in suites for sweep in SUITES[suite][1]}
     sweeps = [sweep for sweep in DISPATCH if sweep in wanted]
     # list() reads every result, so a pool's map runs to its end here
     done = dict(zip(sweeps, list(mapper(partial(run_sweep, order_max=order_max), sweeps))))
-    return [merge_reports(_universe(suite, order_max), [done[s] for s in SUITES[suite]])
-            for suite in suites]
+    return [merge_reports(label.format(order_max), [done[s] for s in parts])
+            for label, parts in (SUITES[suite] for suite in suites)]
 
-
-def verify_theorem(order_max: int) -> VerificationReport:
-    """Compare the three perfection methods on every graph up to order_max."""
-    return verify_suites(["theorem"], order_max)[0]
-
-
-def verify_chain(order_max: int) -> VerificationReport:
-    """Assert gamma <= i <= alpha_c <= alpha plus witness soundness everywhere."""
-    return verify_suites(["chain"], order_max)[0]
-
-
-def verify_corollaries(order_max: int) -> VerificationReport:
-    """Run every class-restricted equivalence exhaustively and aggregate."""
-    return verify_suites(["corollaries"], order_max)[0]

@@ -3,7 +3,9 @@
 graph6 covers every order a ``Graph`` allows (n <= 64): the one-byte
 short-form header up to n = 62, the long form ("~" and three bytes) for
 n = 63 and 64.  The edge list is an input format only; it is 1-based: first
-line "n", then one "u v" pair per line, each number in ASCII digits.
+line "n", then one "u v" pair per line, each number in ASCII digits.  In
+both input formats a line ends at "\\n", "\\r\\n" or a lone "\\r", and only
+spaces and tabs are blanks: any other control byte is a parse error.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from domiperf.graph import MAX_ORDER, Graph, build_graph
 _OFFSET = 63
 _MAX_SHORT_ORDER = 62
 _LONG_HEADER = "~"
+_BLANKS = " \t"
 
 
 class FormatError(ValueError):
@@ -104,10 +107,17 @@ def emit_graph6(G: Graph) -> str:
     return "".join(out)
 
 
+def _split_lines(text: str) -> list[str]:
+    """The lines of ``text``; ``str.splitlines`` would also end one at "\\x0b",
+    "\\x0c" and "\\x1c".."\\x1e"."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def iter_graph6(lines: Iterable[str]) -> Iterator[GraphRecord]:
     """Parse a stream of graph6 tokens, one per line; blank lines are skipped."""
     for lineno, raw in enumerate(lines, start=1):
-        token = raw.strip()
+        # a file object's lines keep their line ends
+        token = raw.strip(_BLANKS + "\r\n")
         if not token:
             continue
         try:
@@ -129,7 +139,8 @@ def parse_edge_list(text: str) -> Graph:
     Lines count from 1, blank lines included, as in :func:`iter_graph6`; an
     error names its line, and vertices by their 1-based labels.
     """
-    lines = [(k, ln.strip()) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    lines = [(k, ln.strip(_BLANKS)) for k, ln in enumerate(_split_lines(text), start=1)
+             if ln.strip(_BLANKS)]
     if not lines:
         raise FormatError("empty edge-list input")
     lineno, head = lines[0]
@@ -141,7 +152,7 @@ def parse_edge_list(text: str) -> Graph:
         raise FormatError(f"line {lineno}: order {n} outside 0..{MAX_ORDER}")
     edges = []
     for lineno, ln in lines[1:]:
-        parts = ln.split()
+        parts = [part for part in ln.replace("\t", " ").split(" ") if part]
         if len(parts) != 2:
             raise FormatError(f"line {lineno}: expected 'u v', got {ln!r}")
         try:

@@ -1,10 +1,10 @@
 """End-to-end acceptance sweep.
 
 Every test prints a single PASS/FAIL line (visible with ``pytest -s``).  The
-exhaustive checks read the reports of the shipped verification drivers
-(``verify_theorem``, ``verify_chain``, ``verify_corollaries``), each run once
-at order 8 over one shared graph universe, so the whole file stays within a
-few minutes.  Run it alone with::
+exhaustive checks read the reports of the shipped verification driver,
+``verify_suites``, on the theorem, chain and corollaries suites, each suite
+run once at order 8 over one shared graph universe, so the whole file stays
+within a few minutes.  Run it alone with::
 
     pytest tests/test_acceptance.py -s
 """
@@ -18,9 +18,7 @@ from conftest import pattern_graph
 from domiperf.enumeration import (
     canonical_form,
     enumerate_graphs,
-    verify_chain,
-    verify_corollaries,
-    verify_theorem,
+    verify_suites,
 )
 from domiperf.formats import emit_graph6, parse_graph6
 from domiperf.graph import build_graph, complete_graph
@@ -54,17 +52,17 @@ def universe():
 
 @pytest.fixture(scope="session")
 def theorem_report():
-    return verify_theorem(MAX_ORDER)
+    return verify_suites(["theorem"], MAX_ORDER)[0]
 
 
 @pytest.fixture(scope="session")
 def chain_report():
-    return verify_chain(MAX_ORDER)
+    return verify_suites(["chain"], MAX_ORDER)[0]
 
 
 @pytest.fixture(scope="session")
 def corollary_report():
-    return verify_corollaries(MAX_ORDER)
+    return verify_suites(["corollaries"], MAX_ORDER)[0]
 
 
 def test_01_parameter_table_of_minimal_graphs():
@@ -89,7 +87,7 @@ def test_02_catalog_members_are_minimal_imperfect():
 
 
 def test_03_invariant_chain_exhaustive(chain_report):
-    # parameter_profile asserts the chain; verify_chain also re-checks every witness
+    # parameter_profile asserts the chain; the chain suite also re-checks every witness
     ok = chain_report.clean and chain_report.checked == sum(EXPECTED_COUNTS.values())
     _report(f"03 chain gamma<=i<=alpha_c<=alpha on all graphs of order <= {MAX_ORDER}", ok)
 
@@ -115,7 +113,7 @@ def test_06_minimal_imperfect_census(theorem_report):
     found = search_minimal_imperfect(6)
     catalog_tokens = sorted(canonical_form(pattern_graph(f"H{k}")) for k in range(1, 11))
     ok = ok and sorted(emit_graph6(g) for g in found) == catalog_tokens
-    # verify_theorem reads minimality off its definition verdicts: the same ten
+    # the theorem suite reads minimality off its definition verdicts: the same ten
     ok = ok and theorem_report.notes == [
         f"minimal imperfect graphs found: 10 ({', '.join(catalog_tokens)})"
     ]

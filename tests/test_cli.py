@@ -13,7 +13,7 @@ from domiperf.enumeration import MAX_ENUM_ORDER, canonical_form
 from domiperf.formats import emit_graph6, parse_graph6
 from domiperf.graph import build_graph, complete_graph, cycle_graph, path_graph
 from domiperf.graph_classes import corona_k1
-from domiperf.perfection import MAX_SWEEP_ORDER
+from domiperf.perfection import MAX_SWEEP_ORDER, PerfectionVerdict
 
 
 @pytest.fixture(autouse=True)
@@ -132,8 +132,52 @@ def test_verify_on_two_workers_matches_one(capsys, monkeypatch):
     def timeless(out):
         return re.sub(r'"elapsed_seconds": [0-9.e-]+', '"elapsed_seconds": 0', out)
 
-    assert code == pooled_code == 0 and len(serial.splitlines()) == 3
+    assert code == pooled_code == 0
+    assert [json.loads(line)["universe"] for line in serial.splitlines()] == [
+        "all graphs, orders 1..6",
+        "all graphs, orders 1..6",
+        "corollary sweeps: trees<=12, classes<=6, line hosts<=7, middle hosts<=5",
+    ]
     assert timeless(pooled) == timeless(serial)
+
+
+def _flip_theorem(monkeypatch, target):
+    real = enumeration.perfect_by_theorem
+
+    def theorem(G):
+        verdict = real(G)
+        return PerfectionVerdict(not verdict.perfect, verdict.method) if G == target else verdict
+
+    monkeypatch.setattr(enumeration, "perfect_by_theorem", theorem)
+
+
+def _fail_profile(monkeypatch, target):
+    real = enumeration.parameter_profile
+
+    def profile(G):
+        if G == target:
+            raise AssertionError("chain broken")
+        return real(G)
+
+    monkeypatch.setattr(enumeration, "parameter_profile", profile)
+
+
+@pytest.mark.parametrize(
+    "suite, break_sweep, detail",
+    [
+        ("theorem", _flip_theorem,
+         {"graph6": "C?", "definition": True, "gamma2": True, "theorem": False}),
+        ("chain", _fail_profile, {"graph6": "C?"}),
+    ],
+)
+def test_verify_counterexample_exits_one(capsys, monkeypatch, suite, break_sweep, detail):
+    # the sweep disagrees on one graph, the edgeless graph of order 4
+    break_sweep(monkeypatch, build_graph(4, []))
+    code, out, _ = _run(capsys, ["verify", "--order", "4", "--suite", suite])
+    report = json.loads(out)
+    assert code == 1
+    assert (report["checked"], report["agreements"], report["counterexample_total"]) == (18, 17, 1)
+    assert report["counterexamples"] == [detail]
 
 
 def test_verify_above_enumeration_cap_exits_two_at_once(capsys):
@@ -300,6 +344,11 @@ def test_edge_list_one_graph_per_file(tmp_path, capsys):
         ("3\n\n1 2 3\n", "line 3: expected 'u v', got '1 2 3'"),
         ("\n65\n1 2\n", "line 2: order 65 outside 0..64"),
         ("\nx\n", "line 2: order line is not a number: 'x'"),
+        # only spaces and tabs are blanks, and only "\n" and "\r" end a line
+        ("3\n1\x0b2\n", "line 2: expected 'u v', got '1\\x0b2'"),
+        ("3\n1 2\x1c2 3\n", "line 2: expected 'u v', got '1 2\\x1c2 3'"),
+        ("\x0c3\n1 2\n", "line 1: order line is not a number: '\\x0c3'"),
+        ("3\r1 2\r\n2\x1f3\n", "line 3: expected 'u v', got '2\\x1f3'"),
     ],
 )
 def test_edge_list_error_names_line(tmp_path, capsys, monkeypatch, text, message):
@@ -314,13 +363,37 @@ def test_edge_list_error_names_line(tmp_path, capsys, monkeypatch, text, message
     assert (code, out, err) == (2, "", f"domiperf: {message}\n")
 
 
-@pytest.mark.parametrize("data, line", [(b"D??\n\xff\xfe\n", 2), (b"D??\r\n\n@\r\xff", 4)])
-def test_non_ascii_file_names_file_line_and_byte(tmp_path, capsys, data, line):
-    # lines count as the parsers count them: CRLF and a lone CR end a line
+@pytest.mark.parametrize(
+    "data, line",
+    [(b"D??\n\xff\xfe\n", 2), (b"D??\r\n\n@\r\xff", 4), (b"@\x0c\xff", 1), (b"@\x1c@\n\xff", 2)],
+)
+def test_non_ascii_file_names_file_line_and_byte(tmp_path, capsys, monkeypatch, data, line):
+    # lines count as the parsers count them: LF, CRLF and a lone CR end a line
     src = tmp_path / "bad.g6"
     src.write_bytes(data)
     code, out, err = _run(capsys, ["compute", str(src)])
     assert (code, out, err) == (2, "", f"domiperf: {src}: line {line}: byte 255 is not ASCII\n")
+    code, out, err = _run(capsys, ["compute"], stdin=data, monkeypatch=monkeypatch)
+    assert (code, out, err) == (2, "", f"domiperf: line {line}: byte 255 is not ASCII\n")
+
+
+@pytest.mark.parametrize(
+    "data, line, byte, offset",
+    [
+        (b"A_\x1cBw\nC~\n", 1, 28, 2),  # str.splitlines would read three records
+        (b"@\n\x0bA_\n", 2, 11, 0),  # str.strip would take the byte for a blank
+        (b"@\r\n \tA_\x1f\n", 2, 31, 2),
+    ],
+)
+def test_graph6_control_byte_names_line(tmp_path, capsys, monkeypatch, data, line, byte, offset):
+    message = (f"line {line}: byte {byte} outside printable graph6 range 63..126 "
+               f"(byte offset {offset})")
+    src = tmp_path / "bad.g6"
+    src.write_bytes(data)
+    code, out, err = _run(capsys, ["compute", str(src)])
+    assert (code, out, err) == (2, "", f"domiperf: {src}: {message}\n")
+    code, out, err = _run(capsys, ["compute"], stdin=data, monkeypatch=monkeypatch)
+    assert (code, out, err) == (2, "", f"domiperf: {message}\n")
 
 
 def test_non_ascii_stdin_names_line_and_byte(capsys, monkeypatch):

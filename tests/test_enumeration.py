@@ -21,8 +21,7 @@ from domiperf.enumeration import (
     enumerate_graphs,
     merge_reports,
     run_sweep,
-    verify_chain,
-    verify_theorem,
+    verify_suites,
 )
 from domiperf.graph import Graph, GraphError, build_graph, complete_graph, cycle_graph, path_graph
 from domiperf.graph_classes import is_chordal
@@ -304,21 +303,21 @@ def test_enumeration_is_deterministic():
 
 
 def test_verify_theorem_small():
-    report = verify_theorem(5)
+    report = verify_suites(["theorem"], 5)[0]
     assert report.checked == 52
     assert report.clean
     assert "minimal imperfect graphs found: 0" in report.notes[0]
 
 
 def test_verify_chain_small():
-    report = verify_chain(5)
+    report = verify_suites(["chain"], 5)[0]
     assert report.clean and report.checked == 52
 
 
 def test_report_json_round_trips():
     report = VerificationReport(universe="demo")
-    report.record(True)
-    report.record(False, {"graph6": "@"})
+    report.record(None)
+    report.record({"graph6": "@"})
     data = json.loads(report.to_json())
     assert data["checked"] == 2
     assert data["agreements"] == 1
@@ -329,13 +328,13 @@ def test_report_json_round_trips():
 def test_counterexample_cap():
     report = VerificationReport(universe="demo")
     for i in range(150):
-        report.record(False, {"i": i})
+        report.record({"i": i})
     assert report.counterexample_total == 150
     assert len(report.counterexamples) == 100
 
 
 def test_dispatch_runs_every_sweep_once_and_pickles():
-    in_suites = [sweep for sweeps in SUITES.values() for sweep in sweeps]
+    in_suites = [sweep for _, sweeps in SUITES.values() for sweep in sweeps]
     assert len(set(in_suites)) == len(in_suites) == len(DISPATCH) == len(set(DISPATCH))
     assert set(DISPATCH) == set(in_suites)
     task = pickle.loads(pickle.dumps(partial(run_sweep, order_max=3)))
@@ -352,7 +351,7 @@ def test_merge_keeps_the_first_counterexamples_in_sweep_order():
         part = VerificationReport(universe=f"sweep {k}", elapsed_seconds=0.5 * k,
                                   notes=[f"note {k}"])
         for i in range(checked):
-            part.record(i >= failing, {"sweep": k, "i": i})
+            part.record(None if i >= failing else {"sweep": k, "i": i})
         parts.append(part)
     report = merge_reports("demo", parts)
     assert report.universe == "demo"

@@ -116,6 +116,14 @@ def test_iter_graph6_reports_line_numbers():
         list(iter_graph6(["@", "!!"]))
 
 
+@pytest.mark.parametrize("line", ["\x0bA_", "A_\x0c", "A_\x1f"])
+def test_iter_graph6_blanks_are_spaces_and_tabs(line):
+    # str.strip would drop the control byte and read A_
+    assert [r.graph for r in iter_graph6([" \tA_\t "])] == [complete_graph(2)]
+    with pytest.raises(FormatError, match="line 1: byte"):
+        list(iter_graph6([line]))
+
+
 def test_parse_edge_list_h7():
     g = parse_edge_list("6\n1 3\n3 5\n2 4\n4 6\n")
     assert sorted(g.degree(v) for v in range(g.n)) == [1, 1, 1, 1, 2, 2]
@@ -130,7 +138,10 @@ def test_parse_edge_list_k1():
     "text",
     ["", "x\n", "3\n1\n", "3\n1 b\n", "3\n0 2\n", "3\n1 4\n", "3\n2 2\n",
      # int() reads these as 10, 0, 2 and 3: only ASCII digits are a count
-     "1_0\n", "-0\n", "3\n1 0_2\n", "\u0663\n"],
+     "1_0\n", "-0\n", "3\n1 0_2\n", "\u0663\n",
+     # str.strip, split and splitlines would accept these: only spaces and
+     # tabs are blanks, and no control byte ends a line
+     "\x0b3\n1 2\n", "3\n1\x1f2\n", "3\n1 2\x0c\n", "3\n1 2\x1c2 3\n"],
 )
 def test_edge_list_errors(text):
     with pytest.raises(FormatError):

@@ -60,6 +60,9 @@ TRACED_BUT_GONE = {
     "domiperf.invariants.max_independent_with",
     "domiperf.formats.emit_edge_list",
     "domiperf.formats.emit_dot",
+    "domiperf.enumeration.verify_theorem",
+    "domiperf.enumeration.verify_chain",
+    "domiperf.enumeration.verify_corollaries",
 }
 
 
