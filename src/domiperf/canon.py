@@ -20,6 +20,7 @@ onto it; its subtree then holds only certificates already seen.
 ``certificate_and_automorphisms`` returns those automorphisms with the
 certificate.  Each one is genuine, but together they may generate only part of
 the automorphism group, since a leaf is compared with the best leaf alone.
+The pattern plans take their orbits from the public ``orbit_closure`` too.
 
 The tree certificate is the least rooted-subtree code at the tree's centres.
 """
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from domiperf.graph import Graph, bits
+from domiperf.graph import Graph, GraphError, bits
 
 
 def _refine(adj: Sequence[int], cells: list[list[int]], splitters: list[int]) -> list[list[int]]:
@@ -80,7 +81,7 @@ def _relabeled(adj: Sequence[int], order: list[int]) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def _orbit_closure(mask: int, generators: list[list[int]]) -> int:
+def orbit_closure(mask: int, generators: list[list[int]]) -> int:
     """Smallest vertex set containing ``mask`` that the generators map into itself."""
     while True:
         grown = mask
@@ -144,7 +145,7 @@ def certificate_and_automorphisms(
             explored |= 1 << v
             if automorphisms:
                 stabilizer = [g for g in automorphisms if all(g[u] == u for u in fixed)]
-                explored = _orbit_closure(explored, stabilizer)
+                explored = orbit_closure(explored, stabilizer)
 
     visit(_refine(adj, [list(range(n))], [(1 << n) - 1]), [])
     assert best is not None
@@ -157,11 +158,19 @@ def canonical_graph(G: Graph) -> Graph:
 
 
 def tree_certificate(rows: tuple[int, ...]) -> str:
-    """Rooted-subtree code minimized over the tree's one or two centres."""
+    """Rooted-subtree code minimized over the tree's one or two centres.
+
+    Raises ``GraphError`` unless ``rows`` is a tree: n >= 1 vertices, n - 1
+    edges and a leaf to strip in every round, hence connected and acyclic.
+    """
+    n = len(rows)
     # the centres: strip every leaf at once until at most two vertices remain (Jordan, 1869)
-    alive = (1 << len(rows)) - 1
-    while alive.bit_count() > 2:
-        alive &= ~sum(1 << v for v in bits(alive) if (rows[v] & alive).bit_count() == 1)
+    alive = leaves = (1 << n) - 1
+    while alive.bit_count() > 2 and leaves:
+        leaves = sum(1 << v for v in bits(alive) if (rows[v] & alive).bit_count() == 1)
+        alive &= ~leaves
+    if not n or alive.bit_count() > 2 or sum(row.bit_count() for row in rows) != 2 * n - 2:
+        raise GraphError("tree certificate expects a tree")
 
     def rooted(v: int, parent: int) -> str:
         subs = sorted(rooted(u, v) for u in bits(rows[v]) if u != parent)

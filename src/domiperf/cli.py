@@ -22,15 +22,7 @@ from functools import partial
 from typing import Callable, Iterable, Iterator, Sequence
 
 from domiperf.enumeration import SUITES, verify_suites
-from domiperf.formats import (
-    FormatError,
-    GraphRecord,
-    _split_lines,
-    emit_graph6,
-    iter_graph6,
-    parse_count,
-    parse_edge_list,
-)
+from domiperf.formats import FormatError, GraphRecord, emit_graph6, parse_count, read_records
 from domiperf.graph import GraphError
 from domiperf.graph_classes import corona_k1, line_graph, middle_graph, total_graph
 from domiperf.invariants import parameter_profile
@@ -113,25 +105,15 @@ def _map_records(
 
 
 def _read_records(args) -> list[tuple[str, GraphRecord]]:
-    """(file, record) pairs of stdin (file "") or of each file parsed on its own; input is ASCII."""
+    """(file, record) pairs of stdin (file "") or of each file parsed on its own."""
     located = []
     for path in args.files or [""]:
-        where = f"{path}: " if path else ""
         with open(path, "rb") if args.files else nullcontext(sys.stdin.buffer) as f:
             data = f.read()
         try:
-            text = data.decode("ascii")
-        except UnicodeDecodeError as exc:
-            # the byte's line as the parsers count lines
-            line = len(_split_lines(data[: exc.start].decode("ascii")))
-            raise FormatError(f"{where}line {line}: byte {data[exc.start]} is not ASCII") from None
-        try:
-            if args.format == "edges":
-                located.append((path, GraphRecord(1, parse_edge_list(text))))
-            else:
-                located.extend((path, rec) for rec in iter_graph6(_split_lines(text)))
+            located.extend((path, rec) for rec in read_records(data, args.format))
         except FormatError as exc:
-            raise FormatError(f"{where}{exc}") from exc
+            raise FormatError(f"{path}: {exc}" if path else str(exc)) from exc
     return located
 
 

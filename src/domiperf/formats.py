@@ -114,10 +114,9 @@ def _split_lines(text: str) -> list[str]:
 
 
 def iter_graph6(lines: Iterable[str]) -> Iterator[GraphRecord]:
-    """Parse a stream of graph6 tokens, one per line; blank lines are skipped."""
+    """Parse graph6 tokens, one per line given without its end; blank lines are skipped."""
     for lineno, raw in enumerate(lines, start=1):
-        # a file object's lines keep their line ends
-        token = raw.strip(_BLANKS + "\r\n")
+        token = raw.strip(_BLANKS)
         if not token:
             continue
         try:
@@ -165,3 +164,16 @@ def parse_edge_list(text: str) -> Graph:
             raise FormatError(f"line {lineno}: loop at vertex {u}")
         edges.append((u - 1, v - 1))
     return build_graph(n, edges)
+
+
+def read_records(data: bytes, fmt: str) -> list[GraphRecord]:
+    """The graphs of ASCII input: graph6 lines, or one edge list if ``fmt`` is "edges"."""
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        # the byte's line as the parsers count lines
+        line = len(_split_lines(data[: exc.start].decode("ascii")))
+        raise FormatError(f"line {line}: byte {data[exc.start]} is not ASCII") from None
+    if fmt == "edges":
+        return [GraphRecord(1, parse_edge_list(text))]
+    return list(iter_graph6(_split_lines(text)))

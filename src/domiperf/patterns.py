@@ -14,9 +14,10 @@ Every plan breaks the pattern's symmetry (Grochow & Kellis, "Network motif
 discovery using subgraph enumeration and symmetry-breaking", RECOMB 2007).
 An embedding composed with an automorphism of the pattern is again an
 embedding, so the plan asks a vertex's image to exceed the images of some
-earlier vertices, chosen so that exactly one embedding of each such family
-passes: the first in plan order.  In index order that is the
-lexicographically smallest, so the witness search still finds it first.
+earlier vertices, chosen so that the first embedding of each such family in
+plan order passes.  In index order that is the lexicographically smallest,
+so the witness search still finds it first.  The orbits are those of the
+generators ``canon`` finds (:func:`~domiperf.canon.orbit_closure`).
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple
 
-from domiperf.canon import certificate, certificate_and_automorphisms
-from domiperf.graph import Graph, GraphError, build_graph
+from domiperf.canon import certificate, certificate_and_automorphisms, orbit_closure
+from domiperf.graph import Graph, GraphError, bits, build_graph
 
 
 @dataclass(frozen=True)
@@ -113,26 +114,6 @@ class _Step(NamedTuple):
 
 
 @cache
-def _automorphisms(pattern: Pattern) -> tuple[tuple[int, ...], ...]:
-    """The group generated by the automorphisms ``canon`` found, ``g[q]`` the image of ``q``.
-
-    A smaller group than the pattern's whole one would only break less
-    symmetry; for every catalog pattern it is the whole group.
-    """
-    generators = certificate_and_automorphisms(pattern.graph.adj)[1]
-    group = {tuple(range(pattern.graph.n))}
-    todo = list(group)
-    while todo:
-        g = todo.pop()
-        for s in generators:
-            h = tuple(s[v] for v in g)
-            if h not in group:
-                group.add(h)
-                todo.append(h)
-    return tuple(sorted(group))
-
-
-@cache
 def _plan(pattern: Pattern, induced: bool, witness: bool = False) -> tuple[_Step, ...]:
     """The order in which a search maps the pattern's vertices, built once.
 
@@ -141,14 +122,15 @@ def _plan(pattern: Pattern, induced: bool, witness: bool = False) -> tuple[_Step
     Cordella et al., VF2, IEEE TPAMI 2004; Bonnici et al., RI, BMC
     Bioinformatics 2013).  The witness order is 0..p-1.
 
-    Both orders break symmetry: each vertex r in turn, with the automorphisms
-    that fix every vertex before it, asks the other vertices of its orbit
-    under them to take greater images than r (Grochow & Kellis).  Those come
-    after r.  A vertex bounded by r and by a later r' has r' in r's orbit, so
-    its bound from r' implies the one from r: each step keeps its last bound.
-    Of embeddings that differ by an automorphism, the least in plan order
-    passes, so in index order the first embedding found is still the
-    lexicographically smallest.
+    Both orders break symmetry (Grochow & Kellis): each vertex r in turn asks
+    the other vertices of its orbit, under the found generators that fix
+    every vertex before r, to take greater images than r.  Those come after
+    r.  These groups descend and each fixes the vertices before its r, so of
+    embeddings that differ by an automorphism the least in plan order passes:
+    in index order, the lexicographically smallest.  A vertex bounded by r
+    and by a later r' has r' in r's orbit, so its bound from r' implies the
+    one from r: each step keeps its last bound.  Generators that miss part
+    of a stabilizer only drop bounds.
     """
     padj = pattern.graph.adj
     order: list[int] = []
@@ -161,11 +143,11 @@ def _plan(pattern: Pattern, induced: bool, witness: bool = False) -> tuple[_Step
         order.append(q)
         mapped |= 1 << q
     above: dict[int, int] = {}
-    group = _automorphisms(pattern)
+    generators = certificate_and_automorphisms(padj)[1]
     for r in order:
-        for q in {g[r] for g in group} - {r}:
+        for q in bits(orbit_closure(1 << r, generators) & ~(1 << r)):
             above[q] = r
-        group = tuple(g for g in group if g[r] == r)
+        generators = [g for g in generators if g[r] == r]
     steps = []
     for i, q in enumerate(order):
         steps.append(_Step(q, padj[q].bit_count(),

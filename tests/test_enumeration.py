@@ -10,7 +10,7 @@ from itertools import combinations, permutations
 import pytest
 
 from conftest import pattern_graph, prufer_tree
-from domiperf.canon import certificate, certificate_and_automorphisms
+from domiperf.canon import certificate, certificate_and_automorphisms, tree_certificate
 from domiperf.enumeration import (
     COUNTEREXAMPLE_CAP,
     DISPATCH,
@@ -220,6 +220,25 @@ def test_tree_universe_matches_networkx():
         (h for n in orders for h in nx.nonisomorphic_trees(n)),
         (g for n in orders for g in enumerate_graphs(n, "tree")),
     )
+
+
+@pytest.mark.parametrize("rows", [build_graph(3, [(0, 1)]).adj, ()], ids=["K2+K1", "empty"])
+def test_tree_certificate_rejects_forests_and_the_empty_graph(rows):
+    with pytest.raises(GraphError, match="expects a tree"):
+        tree_certificate(rows)
+
+
+@pytest.mark.parametrize("rows", [cycle_graph(4).adj, (0, 0, 0), (6, 5, 3, 0)],
+                         ids=["C4", "3K1", "K3+K1"])
+def test_tree_certificate_rejects_graphs_without_leaves(rows):
+    # no leaf to strip: run in a child process with a timeout, so a loop
+    # that never ends fails the test instead of stalling the suite
+    script = f"from domiperf.canon import tree_certificate\ntree_certificate({rows!r})\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=10,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert "GraphError: tree certificate expects a tree" in proc.stderr
 
 
 def test_no_duplicate_canonical_tokens():

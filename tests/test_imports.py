@@ -54,6 +54,20 @@ def test_library_imports_only_the_standard_library():
     assert found - sys.stdlib_module_names - {"domiperf"} == set()
 
 
+def test_no_private_names_imported_across_modules():
+    # a domiperf module's _-prefixed names are its own: src/ and scripts/
+    # import only public names from the package
+    found = set()
+    for path in MODULES:
+        if path.is_relative_to(ROOT / "tests"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("domiperf"):
+                found.update(f"{path.name}: {node.module}.{alias.name}"
+                             for alias in node.names if alias.name.startswith("_"))
+    assert found == set()
+
+
 # Traced names the package no longer defines: a traced run records no spans
 # for them, and the per-layer metrics built from those spans read 0.
 TRACED_BUT_GONE = {

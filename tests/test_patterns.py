@@ -14,8 +14,9 @@ from domiperf.graph import build_graph, complete_graph, cycle_graph, path_graph,
 from domiperf.graph_classes import corona_k1, line_graph
 from domiperf.patterns import (
     FORBIDDEN_NAMES,
-    _automorphisms,
+    Pattern,
     _plan,
+    _search,
     catalog,
     contains_subgraph,
     find_induced,
@@ -205,6 +206,15 @@ def test_verdict_only_searches_agree_with_brute_force(g):
         _brute_first_induced(g, pattern_by_name(n)) is None for n in names)
 
 
+def _group(pg):
+    """The pattern graph's whole automorphism group, by trying every permutation."""
+    def image(row, g):
+        return sum(1 << g[v] for v in range(pg.n) if row >> v & 1)
+
+    return {g for g in permutations(range(pg.n))
+            if all(pg.adj[g[u]] == image(pg.adj[u], g) for u in range(pg.n))}
+
+
 FORBIDDEN_GROUP_ORDERS = {"H1": 8, "H2": 2, "H3": 4, "H4": 72, "H5": 4, "H6": 8, "H7": 8,
                           "H8": 2, "H9": 12, "H10": 2}
 
@@ -212,17 +222,19 @@ FORBIDDEN_GROUP_ORDERS = {"H1": 8, "H2": 2, "H3": 4, "H4": 72, "H5": 4, "H6": 8,
 @pytest.mark.parametrize("pat", catalog(), ids=lambda p: p.name)
 def test_search_plans(pat):
     pg = pat.graph
-
-    def image(row, g):
-        return sum(1 << g[v] for v in range(pg.n) if row >> v & 1)
-
-    group = {g for g in permutations(range(pg.n))
-             if all(pg.adj[g[u]] == image(pg.adj[u], g) for u in range(pg.n))}
-    assert set(_automorphisms(pat)) == group
+    group = _group(pg)
     assert len(group) == FORBIDDEN_GROUP_ORDERS.get(pat.name, len(group))
     for induced, witness in ((True, True), (False, True), (True, False), (False, False)):
         steps = _plan(pat, induced, witness)
         assert sorted(s.vertex for s in steps) == list(range(pg.n))
+        # the reference bounds: each vertex r in plan order bounds the rest of
+        # its orbit under the stabilizer of the vertices before it, computed
+        # from the whole group; a later bound replaces an earlier one
+        above, stabilizer = {}, group
+        for r in (s.vertex for s in steps):
+            above.update((q, (r,)) for q in {g[r] for g in stabilizer} - {r})
+            stabilizer = {g for g in stabilizer if g[r] == r}
+        assert [s.above for s in steps] == [above.get(s.vertex, ()) for s in steps]
         # symmetry breaking (Grochow & Kellis), in both orders: of the
         # pattern's embeddings in itself, its automorphisms, exactly one meets
         # every condition; in index order it is the least, the identity
@@ -248,6 +260,50 @@ def test_search_plans(pat):
             assert rank(step.vertex) == max(rank(v) for v in set(range(pg.n)) - before)
             if pg.is_connected() and k:
                 assert step.placed, (pat.name, step.vertex)
+
+
+# An order-7 graph with a group of order 6 whose generators, as canon finds
+# them, all move vertex 0: the plans see no stabilizer of 0, although the
+# whole group's has order 2, so they keep fewer bounds than the group allows.
+# The test below checks that it still is such a graph, so that the plan tests
+# keep covering that case.
+PART_GROUP = build_graph(7, [(0, 2), (0, 3), (0, 4), (0, 5), (1, 4), (1, 5), (1, 6), (2, 3),
+                             (2, 5), (2, 6), (3, 5), (4, 6)])
+
+
+def test_plans_whose_generators_miss_part_of_a_stabilizer():
+    group = _group(PART_GROUP)
+    steps = _plan(Pattern("X", PART_GROUP), True, True)
+    passing = [g for g in group if all(g[s.vertex] > g[r] for s in steps for r in s.above)]
+    assert len(group) == 6 and len(passing) == 2
+
+
+@st.composite
+def patterns_and_hosts(draw):
+    """A pattern graph of order 2..6 or ``PART_GROUP``, and a host of order at
+    most 8 that half the time holds the pattern, randomly relabeled."""
+    pg = draw(st.one_of(graphs(min_n=2, max_n=6), st.just(PART_GROUP)))
+    if draw(st.booleans()):
+        return pg, draw(st.one_of(graphs(max_n=8), sparse_hosts(max_n=8)))
+    n = draw(st.integers(pg.n, 8))
+    pairs = [(u, v) for v in range(pg.n, n) for u in range(v)]
+    edges = pg.edges() + (draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    perm = draw(st.permutations(range(n)))
+    return pg, build_graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@given(patterns_and_hosts())
+@settings(max_examples=40, deadline=None)
+def test_plans_of_patterns_outside_the_catalog(pattern_and_host):
+    # the bounds come from the generators canon finds, which may generate
+    # less than a stabilizer of the pattern's group: every plan must still
+    # keep the embeddings, and the witness plan the lexicographically least
+    pg, host = pattern_and_host
+    pat = Pattern("X", pg)
+    first = _brute_first_induced(host, pat)
+    assert _search(host, _plan(pat, True, True)) == first
+    assert (_search(host, _plan(pat, True)) is not None) == (first is not None)
+    assert (_search(host, _plan(pat, False)) is not None) == _brute_contains(host, pat)
 
 
 def test_induced_monotone_under_extra_vertices():
