@@ -37,7 +37,7 @@ from domiperf.graph_classes import (
     tree_corollary_conditions,
 )
 from domiperf.invariants import parameter_profile, verify_witness
-from domiperf.patterns import is_claw_free
+from domiperf.patterns import DECISION_ORDER, is_claw_free, is_pattern_free
 from domiperf.perfection import (
     SubgraphTables,
     perfect_by_definition,
@@ -177,12 +177,19 @@ def _matches_theorem(
     criterion: Callable[[Graph], bool],
     construct: Callable[[Graph], Graph] | None = None,
 ) -> Callable[[Graph], dict | None]:
-    """Check that ``criterion`` on G predicts the theorem route on G (or on ``construct(G)``)."""
+    """Check that ``criterion`` on G predicts the theorem route on G (or on ``construct(G)``).
+
+    The theorem route's verdict is all a corollary needs: the target is
+    decided H-free or not in ``DECISION_ORDER`` with no witness, where
+    ``perfect_by_theorem`` would also rerun the index-order search on every
+    imperfect target to name the first H of the catalog.  The theorem sweep
+    keeps that route, witness and all, as ``classify --method theorem`` runs it.
+    """
     key = "graph6" if construct is None else "host_graph6"
 
     def check(G: Graph) -> dict | None:
         target = G if construct is None else construct(G)
-        if criterion(G) == perfect_by_theorem(target).perfect:
+        if criterion(G) == is_pattern_free(target, DECISION_ORDER):
             return None
         return {"sweep": sweep, key: emit_graph6(G)}
 
@@ -249,12 +256,12 @@ SUITES = {
 
 # Every sweep once, heaviest first: workers take them in this order, so the
 # longest ones start at once and the short ones fill in at the end.  Times at
-# order 7 once the universe is built (median of 3, CPython 3.11, 2-core Xeon
-# VM): line 1.28 s, theorem 0.82 s, tree 0.23 s, claw-free 0.22 s, chain
-# 0.15 s, chordal 0.13 s, block 0.06 s, middle 0.02 s; each worker also builds
-# the universe to order 7 once (0.44 s).
-DISPATCH = (_line_sweep, _theorem_sweep, _tree_sweep, _claw_free_sweep, _chain_sweep,
-            _chordal_sweep, _block_sweep, _middle_sweep)
+# order 7 once the universes are built (median of 5, three runs, CPython 3.11,
+# 2-core Xeon VM): theorem 0.56 s, line 0.23 s, claw-free 0.11 s, chordal
+# 0.10 s, chain 0.10 s, tree 0.08 s, block 0.02 s, middle 0.005 s; each
+# worker also builds the universe to order 7 once (0.37 s).
+DISPATCH = (_theorem_sweep, _line_sweep, _claw_free_sweep, _chordal_sweep, _chain_sweep,
+            _tree_sweep, _block_sweep, _middle_sweep)
 
 
 def run_sweep(sweep: Callable[[int], VerificationReport], order_max: int) -> VerificationReport:

@@ -15,8 +15,8 @@ from itertools import combinations
 
 from domiperf.graph import MAX_ORDER, Graph, GraphError, bits, build_graph, set_of
 from domiperf.patterns import (
+    DECISION_ORDER,
     contains_subgraph,
-    forbidden_free,
     is_claw_free,
     is_pattern_free,
     pattern_by_name,
@@ -85,7 +85,7 @@ def tree_corollary_conditions(G: Graph) -> tuple[bool, bool, bool, bool]:
     """The four equivalent statements of the tree characterization."""
     if not G.is_tree():
         raise GraphError("tree corollary expects a tree")
-    c1 = forbidden_free(G)[0]
+    c1 = is_pattern_free(G, DECISION_ORDER)
     c2 = is_pattern_free(G, TREE_FORBIDDEN)
     c3 = G.diameter() <= 4 and sum(1 for v in range(G.n) if G.degree(v) >= 3) <= 1
     c4 = classify_tree(G) is not TreeClass.OTHER

@@ -10,6 +10,15 @@ constraint-first order (next the vertex with the most mapped neighbours).  A
 witness comes from the index order; ``forbidden_free`` reruns it only for the
 first H that embeds.
 
+Two kinds of caller read the ten.  The theorem route (``perfect_by_theorem``,
+so ``classify --method theorem`` and the theorem sweep) reports the first H
+of the catalog that embeds and its smallest embedding, so it goes through
+``forbidden_free`` in catalog order.  The corollary sweeps and the tree
+corollary compare only the verdict, which no order changes, so they call
+``is_pattern_free(G, DECISION_ORDER)``: no witness, and it tries first the
+three members with no induced claw, the only ones that can embed in a line or
+middle graph.
+
 Every plan breaks the pattern's symmetry (Grochow & Kellis, "Network motif
 discovery using subgraph enumeration and symmetry-breaking", RECOMB 2007).
 An embedding composed with an automorphism of the pattern is again an
@@ -70,6 +79,11 @@ _UTILITY_EDGES: dict[str, tuple[int, tuple[tuple[int, int], ...]]] = {
 }
 
 FORBIDDEN_NAMES = tuple(f"H{k}" for k in range(1, 11))
+# The ten in the order a verdict-only decision tries them.  H8, H9 and H7
+# (P6, C6 and 2P3) have no induced claw, so they alone can embed in a line or
+# middle graph; of the 830 imperfect line graphs of hosts of order <= 7, P6
+# embeds in 734, C6 in 700 and 2P3 in none.
+DECISION_ORDER = ("H8", "H9", "H7", "H1", "H2", "H3", "H4", "H5", "H6", "H10")
 
 
 @cache
@@ -114,6 +128,12 @@ class _Step(NamedTuple):
 
 
 @cache
+def _generators(pattern: Pattern) -> tuple[list[int], ...]:
+    """Generators of the pattern's automorphism group, found once for all its plans."""
+    return tuple(certificate_and_automorphisms(pattern.graph.adj)[1])
+
+
+@cache
 def _plan(pattern: Pattern, induced: bool, witness: bool = False) -> tuple[_Step, ...]:
     """The order in which a search maps the pattern's vertices, built once.
 
@@ -143,7 +163,7 @@ def _plan(pattern: Pattern, induced: bool, witness: bool = False) -> tuple[_Step
         order.append(q)
         mapped |= 1 << q
     above: dict[int, int] = {}
-    generators = certificate_and_automorphisms(padj)[1]
+    generators = _generators(pattern)
     for r in order:
         for q in bits(orbit_closure(1 << r, generators) & ~(1 << r)):
             above[q] = r

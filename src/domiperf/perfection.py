@@ -5,6 +5,16 @@ using per-graph bitmask tables (closed-neighborhood unions, an independence
 DP over submasks, and a full domination-number table).  The theorem-based
 check only runs the forbidden-pattern search, so the two routes stay
 independent and their agreement is itself a verifiable claim.
+
+Part of that agreement is a theorem.  If G[S] has gamma 2 and alpha_c >= 3,
+a dominating pair {a, b} of S and independent 3-sets of G[S] through a and
+through b span a set T of at most 6 vertices with gamma(T) <= 2 < 3 <=
+alpha_c(T).  The minimal imperfect graphs of order <= 6 are H1..H10, each
+with gamma 2 and alpha_c 3 (both checked by the tests), so the gamma2 and
+theorem routes agree on every graph, and an induced H makes a graph imperfect
+by the definition.  That every imperfect graph holds an H (every minimal
+imperfect graph has gamma 2) is the paper's claim: the definition route's
+agreement with the other two is evidence for it, not a consequence.
 """
 
 from __future__ import annotations

@@ -151,6 +151,16 @@ def _flip_theorem(monkeypatch, target):
     monkeypatch.setattr(enumeration, "perfect_by_theorem", theorem)
 
 
+def _flip_h_free(monkeypatch, target):
+    # the corollary sweeps' verdict of the theorem route
+    real = enumeration.is_pattern_free
+
+    def h_free(G, names):
+        return real(G, names) != (G == target)
+
+    monkeypatch.setattr(enumeration, "is_pattern_free", h_free)
+
+
 def _fail_profile(monkeypatch, target):
     real = enumeration.parameter_profile
 
@@ -162,22 +172,35 @@ def _fail_profile(monkeypatch, target):
     monkeypatch.setattr(enumeration, "parameter_profile", profile)
 
 
+# graphs each suite checks at order 4
+CHECKED_AT_ORDER_4 = {"theorem": 18, "chain": 18, "corollaries": 2333}
+
+
 @pytest.mark.parametrize(
     "suite, break_sweep, detail",
     [
         ("theorem", _flip_theorem,
-         {"graph6": "C?", "definition": True, "gamma2": True, "theorem": False}),
-        ("chain", _fail_profile, {"graph6": "C?"}),
+         [{"graph6": "C?", "definition": True, "gamma2": True, "theorem": False}]),
+        ("chain", _fail_profile, [{"graph6": "C?"}]),
+        # the edgeless graph of order 4 is chordal, claw-free and the middle
+        # graph of itself; it is no tree, block graph or line graph of a host
+        # of order <= 7
+        ("corollaries", _flip_h_free,
+         [{"sweep": "chordal", "graph6": "C?"}, {"sweep": "claw-free", "graph6": "C?"},
+          {"sweep": "middle", "host_graph6": "C?"}]),
     ],
 )
 def test_verify_counterexample_exits_one(capsys, monkeypatch, suite, break_sweep, detail):
-    # the sweep disagrees on one graph, the edgeless graph of order 4
+    # the sweep disagrees on one graph, the edgeless graph of order 4; detail
+    # lists the counterexamples that graph gives
     break_sweep(monkeypatch, build_graph(4, []))
     code, out, _ = _run(capsys, ["verify", "--order", "4", "--suite", suite])
     report = json.loads(out)
     assert code == 1
-    assert (report["checked"], report["agreements"], report["counterexample_total"]) == (18, 17, 1)
-    assert report["counterexamples"] == [detail]
+    checked = CHECKED_AT_ORDER_4[suite]
+    assert (report["checked"], report["agreements"], report["counterexample_total"]) == (
+        checked, checked - len(detail), len(detail))
+    assert report["counterexamples"] == detail
 
 
 def test_verify_above_enumeration_cap_exits_two_at_once(capsys):

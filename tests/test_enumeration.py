@@ -19,12 +19,21 @@ from domiperf.enumeration import (
     canonical_form,
     canonical_graph,
     enumerate_graphs,
+    enumerate_up_to,
     merge_reports,
     run_sweep,
     verify_suites,
 )
 from domiperf.graph import Graph, GraphError, build_graph, complete_graph, cycle_graph, path_graph
-from domiperf.graph_classes import is_chordal
+from domiperf.graph_classes import is_chordal, line_graph, middle_graph
+from domiperf.patterns import (
+    DECISION_ORDER,
+    FORBIDDEN_NAMES,
+    forbidden_free,
+    is_claw_free,
+    is_pattern_free,
+    pattern_by_name,
+)
 from domiperf.universe import _all_graphs
 
 SMALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
@@ -381,3 +390,27 @@ def test_merge_keeps_the_first_counterexamples_in_sweep_order():
     )
     assert report.notes == ["note 0", "note 1", "note 2"]
     assert report.elapsed_seconds == 1.5
+
+
+def test_decision_order_agrees_with_forbidden_free_on_the_corollary_targets():
+    # the corollary sweeps decide H-freeness in DECISION_ORDER with no
+    # witness; on every graph they feed it, that is forbidden_free's verdict
+    assert sorted(DECISION_ORDER) == sorted(FORBIDDEN_NAMES)
+    assert [n for n in FORBIDDEN_NAMES if is_claw_free(pattern_by_name(n).graph)] == [
+        "H7", "H8", "H9"]
+    targets = {
+        "line": [line_graph(h) for h in enumerate_up_to(7)],
+        "middle": [middle_graph(h) for h in enumerate_up_to(5)],
+        "tree": list(enumerate_up_to(12, "tree")),
+        "chordal": list(enumerate_up_to(7, is_chordal)),
+        "claw-free": list(enumerate_up_to(7, is_claw_free)),
+    }
+    assert {k: len(v) for k, v in targets.items()} == {
+        "line": 1252, "middle": 52, "tree": 987, "chordal": 531, "claw-free": 430}
+    imperfect = {}
+    for family, graphs in targets.items():
+        verdicts = [forbidden_free(g)[0] for g in graphs]
+        assert [is_pattern_free(g, DECISION_ORDER) for g in graphs] == verdicts, family
+        imperfect[family] = verdicts.count(False)
+    # the imperfect members: the agreement is not all on H-free graphs
+    assert imperfect == {"line": 830, "middle": 34, "tree": 939, "chordal": 38, "claw-free": 28}

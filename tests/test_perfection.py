@@ -7,12 +7,29 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import graphs, pattern_graph
-from domiperf.graph import GraphError, build_graph, complete_graph, cycle_graph, path_graph
+from domiperf.graph import (
+    GraphError,
+    bits,
+    build_graph,
+    complete_graph,
+    cycle_graph,
+    mask_of,
+    path_graph,
+    set_of,
+)
 from domiperf.graph_classes import line_graph
-from domiperf.invariants import brute_common_independence, brute_domination, parameter_profile
+from domiperf.invariants import (
+    brute_common_independence,
+    brute_domination,
+    common_independence_number,
+    domination_number,
+    parameter_profile,
+)
+from domiperf.patterns import FORBIDDEN_NAMES, forbidden_free
 from domiperf.enumeration import canonical_form, enumerate_graphs, enumerate_up_to
 from domiperf.perfection import (
     MAX_SWEEP_ORDER,
+    SubgraphTables,
     SubsetWitness,
     is_minimal_imperfect,
     perfect_by_definition,
@@ -83,8 +100,6 @@ def test_search_minimal_small_orders():
 
 
 def test_imperfect_witness_reverifies():
-    from domiperf.invariants import common_independence_number, domination_number
-
     for name in ("H2", "H7", "H10"):
         g = pattern_graph(name)
         v = perfect_by_definition(g)
@@ -185,3 +200,38 @@ def test_theorem_witnesses_are_pinned():
         pat, emb = v.witness or (None, None)
         digest.update(json.dumps([v.perfect, pat and pat.name, emb and emb.mapping]).encode() + b"\n")
     assert digest.hexdigest() == THEOREM_WITNESS_DIGEST
+
+
+def test_forbidden_graphs_have_gamma_2_and_alpha_c_3():
+    for name in FORBIDDEN_NAMES:
+        g = pattern_graph(name)
+        assert (domination_number(g)[0], common_independence_number(g)) == (2, 3), name
+
+
+def _independent_triple(g, s, v):
+    """The first independent 3-set of G[s] through v, in combinations order."""
+    far = s & ~g.closed_masks()[v]
+    return next(1 << v | 1 << x | 1 << y
+                for x, y in combinations(bits(far), 2) if not g.adj[x] >> y & 1)
+
+
+def test_six_vertex_extraction_through_order_7():
+    # The lemma behind the gamma2 route: if G[S] has gamma 2 and alpha_c >= 3,
+    # a dominating pair {a, b} of S and independent 3-sets I_a, I_b of G[S]
+    # through a and b give T = I_a | I_b, at most 6 vertices with gamma(T) <= 2
+    # < 3 <= alpha_c(T).  Checked here with the tables, and each T holds an H.
+    extracted = 0
+    for g in enumerate_up_to(7):
+        t = SubgraphTables(g)
+        subsets = (mask_of(c) for k in range(1, g.n + 1) for c in combinations(range(g.n), k))
+        s = next((s for s in subsets if t.gamma[s] == 2 and t.common_ind(s) >= 3), None)
+        if s is None:
+            continue
+        closed = g.closed_masks()
+        a, b = next((a, b) for a, b in combinations(bits(s), 2) if not s & ~(closed[a] | closed[b]))
+        T = _independent_triple(g, s, a) | _independent_triple(g, s, b)
+        assert T.bit_count() <= 6 and t.gamma[T] == 2 and t.common_ind(T) == 3
+        assert not forbidden_free(g.induced(set_of(T)))[0]
+        extracted += 1
+    # the imperfect graphs of order <= 7: 10 of order 6 and 201 of order 7
+    assert extracted == 211
