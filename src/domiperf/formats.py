@@ -2,10 +2,12 @@
 
 graph6 covers every order a ``Graph`` allows (n <= 64): the one-byte
 short-form header up to n = 62, the long form ("~" and three bytes) for
-n = 63 and 64.  The edge list is an input format only; it is 1-based: first
-line "n", then one "u v" pair per line, each number in ASCII digits.  In
-both input formats a line ends at "\\n", "\\r\\n" or a lone "\\r", and only
-spaces and tabs are blanks: any other control byte is a parse error.
+n = 63 and 64.  A graph6 input may start with the optional ">>graph6<<"
+of nauty's specification, which no line end follows.  The edge list is an
+input format only; it is 1-based: first line "n", then one "u v" pair per
+line, each number in ASCII digits.  In both input formats a line ends at
+"\\n", "\\r\\n" or a lone "\\r", and only spaces and tabs are blanks: any
+other control byte is a parse error.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from domiperf.graph import MAX_ORDER, Graph, build_graph
 _OFFSET = 63
 _MAX_SHORT_ORDER = 62
 _LONG_HEADER = "~"
+_FILE_HEADER = ">>graph6<<"
 _BLANKS = " \t"
 
 
@@ -167,7 +170,8 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def read_records(data: bytes, fmt: str) -> list[GraphRecord]:
-    """The graphs of ASCII input: graph6 lines, or one edge list if ``fmt`` is "edges"."""
+    """The graphs of ASCII input: graph6 lines after at most one leading
+    ">>graph6<<", or one edge list if ``fmt`` is "edges"."""
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:
@@ -176,4 +180,4 @@ def read_records(data: bytes, fmt: str) -> list[GraphRecord]:
         raise FormatError(f"line {line}: byte {data[exc.start]} is not ASCII") from None
     if fmt == "edges":
         return [GraphRecord(1, parse_edge_list(text))]
-    return list(iter_graph6(_split_lines(text)))
+    return list(iter_graph6(_split_lines(text.removeprefix(_FILE_HEADER))))

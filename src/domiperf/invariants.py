@@ -8,10 +8,10 @@ runs alpha, its witness walk and the per-vertex alpha_c values on one memo.
 
 gamma is a set cover: the fewest vertices whose closed neighbourhoods cover
 V.  One memoized search on (vertices still to cover, candidates allowed)
-drops dominated candidates, covers independent parts separately and branches
-on the vertex with the fewest candidates (after Fomin, Grandoni & Kratsch,
-2009, and van Rooij & Bodlaender, 2011); a walk like the one for alpha turns
-its optimum into the lexicographically smallest minimum dominating set.
+drops dominated candidates and branches on the vertex with the fewest
+candidates (after Fomin, Grandoni & Kratsch, 2009, and van Rooij &
+Bodlaender, 2011); a walk like the one for alpha turns its optimum into the
+lexicographically smallest minimum dominating set.
 
 The ``brute_*`` functions are deliberately naive 2^n enumerations kept as
 independent oracles for the solvers; do not "optimize" them.
@@ -158,10 +158,9 @@ def _cover(closed: list[int], need: int, cands: int, memo: dict) -> int | float:
     Infinite when some vertex of ``need`` has no neighbour in ``cands``: the
     search branches on it and tries nothing.  Only candidates meeting ``need``
     are kept, and of two whose closed neighbourhoods meet ``need`` in nested
-    sets only the larger (on a tie the lower index) is kept.  Vertices of
-    ``need`` linked by no chain of shared candidates are covered
-    independently.  Otherwise the search branches on the candidates of the
-    first vertex u with the fewest, each branch excluding those tried before.
+    sets only the larger (on a tie the lower index) is kept.  The search then
+    branches on the candidates of the first vertex u with the fewest, each
+    branch excluding those tried before.
     """
     if need == 0:
         return 0
@@ -192,21 +191,10 @@ def _cover(closed: list[int], need: int, cands: int, memo: dict) -> int | float:
         d = (closed[b.bit_length() - 1] & kept).bit_count()
         if d < least:
             u, least = b.bit_length() - 1, d
-    # the vertices of ``need`` linked to u, and the candidates meeting them
-    comp = inside = 0
-    frontier = 1 << u
-    while frontier:
-        comp |= frontier
-        via = _union(closed, frontier) & kept & ~inside
-        inside |= via
-        frontier = _union(closed, via) & need & ~comp
-    if comp != need:
-        res = _cover(closed, comp, inside, memo) + _cover(closed, need & ~comp, kept & ~inside, memo)
-    else:
-        res = float("inf")
-        for c in bits(closed[u] & kept):
-            kept ^= 1 << c
-            res = min(res, 1 + _cover(closed, need & ~closed[c], kept, memo))
+    res = float("inf")
+    for c in bits(closed[u] & kept):
+        kept ^= 1 << c
+        res = min(res, 1 + _cover(closed, need & ~closed[c], kept, memo))
     memo[key] = res
     return res
 

@@ -150,7 +150,8 @@ def is_minimal_imperfect(G: Graph) -> bool:
     """gamma < alpha_c on G itself, equality on every proper induced subgraph.
 
     As gamma <= alpha_c always holds, that is: the definition scan's first gap
-    is the whole vertex set.  The gap on G itself is tested first, as it is cheap.
+    is the whole vertex set.  ``SubgraphTables`` runs its 3^n sweep before
+    either test, so testing the gap on G itself first saves only the scan.
     K0 has no nonempty induced subgraph, so it is perfect, not minimal imperfect.
     """
     t = SubgraphTables(G)

@@ -349,6 +349,39 @@ def test_graph6_parse_error_names_file_and_line(tmp_path, capsys):
     assert f"{bad}: line 2:" in err
 
 
+def test_graph6_file_header_from_networkx(tmp_path, capsys):
+    # networkx writes the optional ">>graph6<<" of the specification by default
+    nx = pytest.importorskip("networkx")
+    src = tmp_path / "p3.g6"
+    nx.write_graph6(nx.path_graph(3), src)
+    assert src.read_bytes().startswith(b">>graph6<<")
+    code, out, _ = _run(capsys, ["compute", str(src)])
+    assert code == 0
+    rec = json.loads(out)
+    assert (rec["line"], rec["n"], rec["m"], rec["gamma"]) == (1, 3, 2, 1)
+
+
+def test_graph6_file_header_on_stdin(capsys, monkeypatch):
+    code, out, _ = _run(capsys, ["compute"], stdin=">>graph6<<Bg\nC~\n", monkeypatch=monkeypatch)
+    assert code == 0
+    assert [json.loads(line)["line"] for line in out.splitlines()] == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "data, line",
+    [("@\n>>graph6<<Bg\n", 2), (">>graph6<<>>graph6<<Bg\n", 1), (">>sparse6<<:Bf\n", 1)],
+)
+def test_graph6_header_elsewhere_names_file_and_line(tmp_path, capsys, monkeypatch, data, line):
+    # one header per input, at its very start; sparse6 is not read
+    message = f"line {line}: byte 62 outside printable graph6 range 63..126 (byte offset 0)"
+    src = tmp_path / "bad.g6"
+    src.write_text(data)
+    code, out, err = _run(capsys, ["compute", str(src)])
+    assert (code, out, err) == (2, "", f"domiperf: {src}: {message}\n")
+    code, out, err = _run(capsys, ["compute"], stdin=data, monkeypatch=monkeypatch)
+    assert (code, out, err) == (2, "", f"domiperf: {message}\n")
+
+
 def test_edge_list_one_graph_per_file(tmp_path, capsys):
     first, second = tmp_path / "p3.edges", tmp_path / "k3.edges"
     first.write_text("3\n1 2\n2 3\n")

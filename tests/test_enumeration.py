@@ -41,8 +41,12 @@ TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23}
 
 
 def test_canonical_identifies_isomorphs():
-    assert canonical_form(pattern_graph("H8")) == canonical_form(path_graph(6))
-    assert canonical_form(pattern_graph("H9")) == canonical_form(cycle_graph(6))
+    # the catalog identities the class-restricted criteria rely on
+    two_p3 = build_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+    for h, name, g in (("H7", "TWO_P3", two_p3), ("H8", "P6", path_graph(6)),
+                       ("H9", "C6", cycle_graph(6))):
+        assert (canonical_form(pattern_graph(h)) == canonical_form(pattern_graph(name))
+                == canonical_form(g))
     tokens = set()
     for perm in permutations(range(3)):
         g = build_graph(3, [(perm[0], perm[1]), (perm[1], perm[2]), (perm[0], perm[2])])

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import forests_and_cycles, graphs, pattern_graph, prufer_tree
 from domiperf import invariants
@@ -163,8 +164,8 @@ def test_cover_never_meets_a_vertex_without_candidates(monkeypatch):
 @settings(max_examples=40, deadline=None)
 def test_sparse_solvers_match_brute_force(g):
     # components, isolated vertices and degree-1 vertices: the reductions of
-    # the independence search, and the component split and dominated
-    # candidates of the domination search
+    # the independence search, and the dominated candidates of the
+    # domination search
     p = parameter_profile(g)
     assert p.gamma == brute_domination(g)
     assert p.ind_dom == brute_independent_domination(g)
@@ -173,6 +174,27 @@ def test_sparse_solvers_match_brute_force(g):
     for v in range(g.n):
         rest = set(range(g.n)) - set_of(g.adj[v]) - {v}
         assert p.per_vertex_ind[v] == 1 + brute_independence(g.induced(rest))
+    _check_lexicographic_witnesses(g)
+
+
+@st.composite
+def _unions_of_two(draw):
+    """Two random graphs of order 1..7 and their disjoint union, with the
+    vertices of the two parts randomly interleaved."""
+    a, b = draw(graphs(min_n=1, max_n=7)), draw(graphs(min_n=1, max_n=7))
+    perm = draw(st.permutations(range(a.n + b.n)))
+    edges = [(perm[u], perm[v]) for u, v in a.edges()]
+    edges += [(perm[a.n + u], perm[a.n + v]) for u, v in b.edges()]
+    return a, b, build_graph(a.n + b.n, edges)
+
+
+@given(_unions_of_two())
+@settings(max_examples=40, deadline=None)
+def test_domination_of_disjoint_unions(parts):
+    # the set-cover search splits no components: branching alone covers two
+    # dense parts whose vertices interleave
+    a, b, g = parts
+    assert domination_number(g)[0] == brute_domination(a) + brute_domination(b)
     _check_lexicographic_witnesses(g)
 
 
