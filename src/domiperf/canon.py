@@ -17,10 +17,16 @@ isomorphism invariant.  Two leaves with equal certificates give an
 automorphism.  At each node a child is skipped when the automorphisms found
 so far that fix the node's individualized vertices map an explored child
 onto it; its subtree then holds only certificates already seen.
-``certificate_and_automorphisms`` returns those automorphisms with the
-certificate.  Each one is genuine, but together they may generate only part of
-the automorphism group, since a leaf is compared with the best leaf alone.
-The pattern plans take their orbits from the public ``orbit_closure`` too.
+``canonical_labeling`` returns those automorphisms with the certificate and
+the best leaf's vertex order.  Each one is genuine, but together they may
+generate only part of the automorphism group, since a leaf is compared with
+the best leaf alone.  The pattern plans take their orbits from the public
+``orbit_closure`` too.
+
+The first refinement splits the one cell by degree, in ascending order, and
+every later split and individualization keeps a fragment where its cell was.
+So the order puts a vertex of maximum degree last, which the graph universe's
+canonical augmentation reads before it runs a search.
 
 The tree certificate is the least rooted-subtree code at the tree's centres.
 """
@@ -102,19 +108,20 @@ def certificate(adj: Sequence[int]) -> tuple[int, ...]:
     Two graphs are isomorphic iff their certificates are equal.  ``adj`` must
     describe a simple graph; it is not validated.
     """
-    return certificate_and_automorphisms(adj)[0]
+    return canonical_labeling(adj)[0]
 
 
-def certificate_and_automorphisms(
+def canonical_labeling(
     adj: Sequence[int],
-) -> tuple[tuple[int, ...], list[list[int]]]:
-    """The certificate of the graph with rows ``adj`` and the automorphisms its search found.
+) -> tuple[tuple[int, ...], list[int], list[list[int]]]:
+    """The certificate of the graph with rows ``adj``, its vertex order and the automorphisms found.
 
-    An automorphism is a list ``g`` with ``g[u]`` the image of vertex ``u``.
+    The certificate is ``adj`` relabeled so that vertex i is ``order[i]``.  An
+    automorphism is a list ``g`` with ``g[u]`` the image of vertex ``u``.
     """
     n = len(adj)
     if n <= 1:
-        return tuple(adj), []
+        return tuple(adj), list(range(n)), []
     best: tuple[int, ...] | None = None
     best_order: list[int] = []
     automorphisms: list[list[int]] = []
@@ -149,7 +156,7 @@ def certificate_and_automorphisms(
 
     visit(_refine(adj, [list(range(n))], [(1 << n) - 1]), [])
     assert best is not None
-    return best, automorphisms
+    return best, best_order, automorphisms
 
 
 def canonical_graph(G: Graph) -> Graph:

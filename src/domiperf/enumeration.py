@@ -259,7 +259,8 @@ SUITES = {
 # order 7 once the universes are built (median of 5, three runs, CPython 3.11,
 # 2-core Xeon VM): theorem 0.56 s, line 0.23 s, claw-free 0.11 s, chordal
 # 0.10 s, chain 0.10 s, tree 0.08 s, block 0.02 s, middle 0.005 s; each
-# worker also builds the universe to order 7 once (0.37 s).
+# worker also builds the universe to order 7 once (0.21 s, median of 5 fresh
+# processes).
 DISPATCH = (_theorem_sweep, _line_sweep, _claw_free_sweep, _chordal_sweep, _chain_sweep,
             _tree_sweep, _block_sweep, _middle_sweep)
 

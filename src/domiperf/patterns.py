@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple
 
-from domiperf.canon import certificate_and_automorphisms, orbit_closure
+from domiperf.canon import canonical_labeling, orbit_closure
 from domiperf.graph import Graph, bits, build_graph
 
 
@@ -123,7 +123,7 @@ class _Step(NamedTuple):
 @cache
 def _generators(pattern: Pattern) -> tuple[list[int], ...]:
     """Generators of the pattern's automorphism group, found once for all its plans."""
-    return tuple(certificate_and_automorphisms(pattern.graph.adj)[1])
+    return tuple(canonical_labeling(pattern.graph.adj)[2])
 
 
 @cache

@@ -1,7 +1,9 @@
 import heapq
+from functools import cache
 
 from hypothesis import strategies as st
 
+from domiperf.canon import certificate
 from domiperf.graph import Graph, build_graph
 from domiperf.patterns import pattern_by_name
 
@@ -19,6 +21,25 @@ def graphs(draw, min_n=0, max_n=8):
 
 def pattern_graph(name: str) -> Graph:
     return pattern_by_name(name).graph
+
+
+@cache
+def first_reached_rows(order: int) -> tuple[tuple[int, ...], ...]:
+    """One representative per class of the given order, in ascending certificate order.
+
+    Naive growth: each representative of the order below gets every
+    neighbour mask, and a class keeps the first child that reaches it.
+    These rows fix a labeling that does not depend on the universe's growth.
+    """
+    if order == 1:
+        return ((0,),)
+    k = order - 1
+    first: dict = {}
+    for rows in first_reached_rows(k):
+        for nbmask in range(1 << k):
+            child = tuple([rows[v] | (nbmask >> v & 1) << k for v in range(k)] + [nbmask])
+            first.setdefault(certificate(child), child)
+    return tuple(first[cert] for cert in sorted(first))
 
 
 def prufer_tree(seq, n):

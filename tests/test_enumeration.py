@@ -9,8 +9,8 @@ from itertools import combinations, permutations
 
 import pytest
 
-from conftest import pattern_graph, prufer_tree
-from domiperf.canon import certificate, certificate_and_automorphisms, tree_certificate
+from conftest import first_reached_rows, pattern_graph, prufer_tree
+from domiperf.canon import canonical_labeling, certificate, tree_certificate
 from domiperf.enumeration import (
     COUNTEREXAMPLE_CAP,
     DISPATCH,
@@ -24,7 +24,9 @@ from domiperf.enumeration import (
     run_sweep,
     verify_suites,
 )
-from domiperf.graph import Graph, GraphError, build_graph, complete_graph, cycle_graph, path_graph
+from domiperf.graph import (
+    Graph, GraphError, bits, build_graph, complete_graph, cycle_graph, path_graph,
+)
 from domiperf.graph_classes import is_chordal, line_graph, middle_graph
 from domiperf.patterns import (
     DECISION_ORDER,
@@ -34,7 +36,7 @@ from domiperf.patterns import (
     is_pattern_free,
     pattern_by_name,
 )
-from domiperf.universe import _all_graphs
+from domiperf.universe import MAX_ENUM_ORDER, _all_graphs
 
 SMALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
 TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23}
@@ -142,7 +144,7 @@ def test_canon_automorphisms_preserve_adjacency():
     graphs = [g for k in range(1, 8) for g in enumerate_graphs(k)] + list(_symmetric_graphs())
     found = 0
     for g in graphs:
-        cert, automorphisms = certificate_and_automorphisms(g.adj)
+        cert, _, automorphisms = canonical_labeling(g.adj)
         assert cert == certificate(g.adj)
         assert all(_is_automorphism(g.adj, a) for a in automorphisms), g.adj
         found += len(automorphisms)
@@ -155,24 +157,30 @@ def test_canon_automorphism_orbits_match_brute_force():
     for k in range(1, 7):
         for g in enumerate_graphs(k):
             group = [p for p in permutations(range(k)) if _is_automorphism(g.adj, p)]
-            found = certificate_and_automorphisms(g.adj)[1]
+            found = canonical_labeling(g.adj)[2]
             assert _orbits(k, found) == _orbits(k, group), g.adj
             checked += 1
     assert checked == 208
 
 
+def test_canonical_order_relabels_to_the_certificate_and_ends_at_maximum_degree():
+    # the premises of the universe's acceptance rule and of its degree test
+    graphs = [g for k in range(1, 8) for g in enumerate_graphs(k)] + list(_symmetric_graphs())
+    for g in graphs:
+        cert, order, _ = canonical_labeling(g.adj)
+        assert sorted(order) == list(range(g.n))
+        position = {v: i for i, v in enumerate(order)}
+        assert cert == tuple(sum(1 << position[u] for u in bits(g.adj[v])) for v in order)
+        assert g.degree(order[-1]) == max(g.degree(v) for v in range(g.n))
+
+
 def test_orbit_pruned_growth_matches_naive_growth():
-    # every mask joined, the first child per certificate kept: the same rows
-    # in the same order as the growth that joins one mask per orbit
-    level = [(0,)]
-    for k in range(1, 7):
-        first: dict = {}
-        for rows in level:
-            for nbmask in range(1 << k):
-                child = tuple([rows[v] | (nbmask >> v & 1) << k for v in range(k)] + [nbmask])
-                first.setdefault(certificate(child), child)
-        level = [first[cert] for cert in sorted(first)]
-        assert [g.adj for g in _all_graphs(k + 1)] == level
+    # every mask joined, the first child per certificate kept: the same
+    # classes in the same order as canonical augmentation, which joins one
+    # mask per orbit and may keep another child of a class
+    for k in range(1, 8):
+        naive = [certificate(rows) for rows in first_reached_rows(k)]
+        assert [certificate(g.adj) for g in _all_graphs(k)] == naive
 
 
 def test_canonical_graph_round_trips():
@@ -255,9 +263,10 @@ def test_tree_certificate_rejects_graphs_without_leaves(rows):
 
 
 def test_no_duplicate_canonical_tokens():
-    for order in (4, 5, 6):
-        tokens = [canonical_form(g) for g in enumerate_graphs(order)]
-        assert len(tokens) == len(set(tokens))
+    # with the counts this catches a class lost or listed twice at every order
+    for order in range(1, MAX_ENUM_ORDER + 1):
+        certs = [certificate(g.adj) for g in enumerate_graphs(order)]
+        assert all(a < b for a, b in zip(certs, certs[1:])), order
 
 
 @pytest.mark.parametrize("order,count", sorted(TREE_COUNTS.items()))

@@ -6,8 +6,9 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from conftest import graphs, pattern_graph
+from conftest import first_reached_rows, graphs, pattern_graph
 from domiperf.graph import (
+    Graph,
     GraphError,
     bits,
     build_graph,
@@ -188,14 +189,17 @@ def test_scans_match_brute_force_in_ascending_order():
 
 
 # sha256 over (perfect, pattern name, mapping) of perfect_by_theorem on every
-# graph of order <= 7, then the line graphs of every host of order <= 6
+# graph of order <= 7, then the line graphs of every host of order <= 6, each
+# class labeled by the naive growth's first-reached rows
 THEOREM_WITNESS_DIGEST = "c4ce93bb6ba992e56bd6864632bae12e5b5242d6eeec273d3495fc570e0605a3"
 
 
 def test_theorem_witnesses_are_pinned():
     # a change to the pattern searches must not move a witness
     digest = hashlib.sha256()
-    for g in [*enumerate_up_to(7), *map(line_graph, enumerate_up_to(6))]:
+    labeled = [Graph(k, rows) for k in range(1, 8) for rows in first_reached_rows(k)]
+    hosts = [g for g in labeled if g.n <= 6]
+    for g in [*labeled, *map(line_graph, hosts)]:
         v = perfect_by_theorem(g)
         pat, emb = v.witness or (None, None)
         digest.update(json.dumps([v.perfect, pat and pat.name, emb and emb.mapping]).encode() + b"\n")
