@@ -17,16 +17,12 @@ isomorphism invariant.  Two leaves with equal certificates give an
 automorphism.  At each node a child is skipped when the automorphisms found
 so far that fix the node's individualized vertices map an explored child
 onto it; its subtree then holds only certificates already seen.
-``canonical_labeling`` returns those automorphisms with the certificate and
-the best leaf's vertex order.  Each one is genuine, but together they may
-generate only part of the automorphism group, since a leaf is compared with
-the best leaf alone.  The pattern plans take their orbits from the public
-``orbit_closure`` too.
-
-The first refinement splits the one cell by degree, in ascending order, and
-every later split and individualization keeps a fragment where its cell was.
-So the order puts a vertex of maximum degree last, which the graph universe's
-canonical augmentation reads before it runs a search.
+``canonical_labeling`` returns those automorphisms with the certificate.  Each
+one is genuine, but together they may generate only part of the automorphism
+group, since a leaf is compared with the best leaf alone.  The pattern plans
+take their orbits from the public ``orbit_closure`` too.
+``canonical_augmentation`` decides, from the same search, whether a graph's
+last vertex is the one that canonical augmentation adds.
 
 The tree certificate is the least rooted-subtree code at the tree's centres.
 """
@@ -108,13 +104,11 @@ def certificate(adj: Sequence[int]) -> tuple[int, ...]:
     Two graphs are isomorphic iff their certificates are equal.  ``adj`` must
     describe a simple graph; it is not validated.
     """
-    return canonical_labeling(adj)[0]
+    return _search(adj)[0]
 
 
-def canonical_labeling(
-    adj: Sequence[int],
-) -> tuple[tuple[int, ...], list[int], list[list[int]]]:
-    """The certificate of the graph with rows ``adj``, its vertex order and the automorphisms found.
+def _search(adj: Sequence[int]) -> tuple[tuple[int, ...], list[int], list[list[int]]]:
+    """The certificate, the best leaf's vertex order and the automorphisms found.
 
     The certificate is ``adj`` relabeled so that vertex i is ``order[i]``.  An
     automorphism is a list ``g`` with ``g[u]`` the image of vertex ``u``.
@@ -157,6 +151,37 @@ def canonical_labeling(
     visit(_refine(adj, [list(range(n))], [(1 << n) - 1]), [])
     assert best is not None
     return best, best_order, automorphisms
+
+
+def canonical_labeling(adj: Sequence[int]) -> tuple[tuple[int, ...], list[list[int]]]:
+    """The certificate of the graph with rows ``adj`` and the automorphisms found.
+
+    An automorphism is a list ``g`` with ``g[u]`` the image of vertex ``u``.
+    """
+    cert, _, automorphisms = _search(adj)
+    return cert, automorphisms
+
+
+def canonical_augmentation(adj: Sequence[int]) -> tuple[tuple[int, ...], list[list[int]]] | None:
+    """``canonical_labeling(adj)``, or None unless the last vertex k is canonically added.
+
+    McKay's rule ("Isomorph-free exhaustive generation", J. Algorithms 1998):
+    k is accepted iff it lies in the orbit of the vertex that the canonical
+    order puts last, so a class grown one vertex at a time is accepted only
+    from the class of itself minus that vertex.  The first refinement splits
+    by ascending degree and later steps keep each fragment where its cell was,
+    so that vertex has maximum degree: a graph in which a vertex outranks k by
+    degree is refused before any search.  If the found automorphisms generate
+    only part of the group, k's orbit looks smaller and a class can be lost.
+    """
+    k = len(adj) - 1
+    degree = adj[k].bit_count()
+    if any(row.bit_count() > degree for row in adj):
+        return None
+    cert, order, automorphisms = _search(adj)
+    if not orbit_closure(1 << order[-1], automorphisms) >> k & 1:
+        return None
+    return cert, automorphisms
 
 
 def canonical_graph(G: Graph) -> Graph:

@@ -123,7 +123,7 @@ class _Step(NamedTuple):
 @cache
 def _generators(pattern: Pattern) -> tuple[list[int], ...]:
     """Generators of the pattern's automorphism group, found once for all its plans."""
-    return tuple(canonical_labeling(pattern.graph.adj)[2])
+    return tuple(canonical_labeling(pattern.graph.adj)[1])
 
 
 @cache

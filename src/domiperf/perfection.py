@@ -130,14 +130,23 @@ def _scan(
     return PerfectionVerdict(False, method, SubsetWitness(set_of(s), t.gamma[s], t.common_ind(s)))
 
 
+def _tables_of(G: Graph, tables: SubgraphTables | None) -> SubgraphTables:
+    """``tables`` if given, which must be G's own, else G's tables built now."""
+    if tables is None:
+        return SubgraphTables(G)
+    if tables.graph != G:
+        raise GraphError("subgraph tables were built for another graph")
+    return tables
+
+
 def perfect_by_definition(G: Graph, tables: SubgraphTables | None = None) -> PerfectionVerdict:
     """Check gamma == alpha_c on every nonempty induced subgraph directly."""
-    return _scan(tables or SubgraphTables(G), "definition", _gap)
+    return _scan(_tables_of(G, tables), "definition", _gap)
 
 
 def perfect_by_gamma2(G: Graph, tables: SubgraphTables | None = None) -> PerfectionVerdict:
     """Only induced subgraphs with gamma = 2 are tested; failure is alpha_c = 3."""
-    return _scan(tables or SubgraphTables(G), "gamma2-definition", _gamma2_gap)
+    return _scan(_tables_of(G, tables), "gamma2-definition", _gamma2_gap)
 
 
 def perfect_by_theorem(G: Graph) -> PerfectionVerdict:

@@ -2,29 +2,18 @@
 
 Both grow by one step, ``_grow``: each representative of the previous order
 gets a new vertex joined to each allowed mask, a key decides each child, and
-each class keeps the first child (adjacency rows) the key accepted.  Trees
-attach a leaf, take the tree certificate from :mod:`domiperf.canon` and keep
-first-seen order.
+each class keeps the first child the key accepted.  Trees attach a leaf, are
+keyed by their tree certificate and keep first-seen order.
 
-Graphs grow by canonical augmentation (McKay, "Isomorph-free exhaustive
-generation", J. Algorithms 1998).  A parent joins one mask per orbit of its
-automorphisms on vertex subsets, the least one, in ascending order: masks in
-one orbit give isomorphic children.  A child is accepted iff its new vertex k
-lies in the orbit of the vertex that its canonical order
-(:func:`~domiperf.canon.canonical_labeling`) puts last, so each class is
-accepted from one parent class only, that of the child minus its last vertex.
-That order puts a vertex of maximum degree last, so a child in which some
-vertex has a higher degree than k is refused before any search.  Graphs list
-their classes in ascending certificate order and keep the automorphisms the
-accepting search found, for the next order's masks.  The accepted child need
-not be the first child that reaches its class.
-
-A class is lost if the found automorphisms generate only part of a child's
-group, since the last vertex's orbit then looks smaller; ``canon`` does not
-promise whole groups, so the class counts (OEIS A000088) and the one-to-one
-match with networkx's atlas are the check.  A parent's partial group only
-prunes fewer masks, and the level's certificate dict keeps one child per
-class.
+Graphs grow by canonical augmentation, keyed by
+:func:`~domiperf.canon.canonical_augmentation`.  A parent joins one mask per
+orbit of its found automorphisms on vertex subsets, the least one, in
+ascending order: masks in one orbit give isomorphic children.  Each class
+keeps the automorphisms found when it was accepted, for the next order's
+masks, and a level lists its classes in ascending certificate order.  A
+parent's partial group only prunes fewer masks, and the level's dict keeps
+one child per class; the class counts (OEIS A000088) and the one-to-one
+match with networkx's atlas check that no class is lost.
 """
 
 from __future__ import annotations
@@ -32,7 +21,7 @@ from __future__ import annotations
 from functools import cache
 from typing import Callable, Iterable, Iterator
 
-from domiperf.canon import canonical_labeling, orbit_closure, tree_certificate
+from domiperf.canon import canonical_augmentation, tree_certificate
 from domiperf.graph import Graph, GraphError
 
 MAX_ENUM_ORDER = 8
@@ -40,11 +29,11 @@ MAX_TREE_ORDER = 12
 
 
 def _grow(parents: Iterable[tuple[tuple[int, ...], Iterable[int]]], key: Callable) -> dict:
-    """The first accepted child per class.
+    """Each class's first accepted child, with the entry the key kept for it.
 
     Each parent is its rows and its masks; a parent of order k gets vertex k
-    joined to each mask.  ``key(child)`` returns the child's class and the
-    entry to keep for it, or None to refuse the child.
+    joined to each mask.  ``key(child)`` returns the child's class and an
+    entry to keep, or None to refuse the child.
     """
     level: dict = {}
     for rows, masks in parents:
@@ -53,7 +42,7 @@ def _grow(parents: Iterable[tuple[tuple[int, ...], Iterable[int]]], key: Callabl
             child = tuple([rows[v] | (nbmask >> v & 1) << k for v in range(k)] + [nbmask])
             decided = key(child)
             if decided is not None:
-                level.setdefault(*decided)
+                level.setdefault(decided[0], (child, decided[1]))
     return level
 
 
@@ -88,33 +77,19 @@ def _orbit_representatives(n: int, generators: list[list[int]]) -> Iterable[int]
     return least
 
 
-def _augmentation(child: tuple[int, ...]) -> tuple | None:
-    """The child's certificate and (rows, automorphisms), or None unless the new vertex is canonical."""
-    k = len(child) - 1
-    degree = child[k].bit_count()
-    # the canonical order ends at a vertex of maximum degree: no search needed
-    if any(row.bit_count() > degree for row in child):
-        return None
-    cert, order, generators = canonical_labeling(child)
-    if not orbit_closure(1 << order[-1], generators) >> k & 1:
-        return None
-    return cert, (child, generators)
-
-
 @cache
-def _graph_level(order: int) -> list[tuple[tuple[int, ...], list[list[int]]]]:
-    """Each class's rows and found automorphisms, in ascending certificate order."""
+def _graph_level(order: int) -> list[tuple[Graph, list[list[int]]]]:
+    """Each class and its found automorphisms, in ascending certificate order."""
     if order == 1:
-        return [((0,), [])]
+        return [(Graph(1, (0,)), [])]
     parents = _graph_level(order - 1)
-    level = _grow(((rows, _orbit_representatives(order - 1, gens)) for rows, gens in parents),
-                  _augmentation)
-    return [level[cert] for cert in sorted(level)]
-
-
-@cache
-def _all_graphs(order: int) -> list[Graph]:
-    return [Graph(order, rows) for rows, _ in _graph_level(order)]
+    level = _grow(((G.adj, _orbit_representatives(order - 1, gens)) for G, gens in parents),
+                  canonical_augmentation)
+    classes = [level[cert] for cert in sorted(level)]
+    del level  # free the certificates, then build the graphs in place: a lower peak
+    for i, (rows, gens) in enumerate(classes):
+        classes[i] = Graph(order, rows), gens
+    return classes
 
 
 @cache
@@ -122,8 +97,8 @@ def _all_trees(order: int) -> list[Graph]:
     if order == 1:
         return [Graph(1, (0,))]
     parents = ((T.adj, [1 << v for v in range(T.n)]) for T in _all_trees(order - 1))
-    level = _grow(parents, lambda rows: (tree_certificate(rows), rows))
-    return [Graph(order, rows) for rows in level.values()]
+    level = _grow(parents, lambda rows: (tree_certificate(rows), None))
+    return [Graph(order, rows) for rows, _ in level.values()]
 
 
 def enumerate_graphs(
@@ -145,7 +120,7 @@ def enumerate_graphs(
         raise GraphError(f"unknown enumeration filter {filter!r}")
     if order > MAX_ENUM_ORDER:
         raise GraphError(f"full enumeration capped at order {MAX_ENUM_ORDER}")
-    for G in _all_graphs(order):
+    for G, _ in _graph_level(order):
         if filter is None or filter(G):
             yield G
 

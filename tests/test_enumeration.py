@@ -10,7 +10,9 @@ from itertools import combinations, permutations
 import pytest
 
 from conftest import first_reached_rows, pattern_graph, prufer_tree
-from domiperf.canon import canonical_labeling, certificate, tree_certificate
+from domiperf.canon import (
+    _search, canonical_augmentation, canonical_labeling, certificate, tree_certificate,
+)
 from domiperf.enumeration import (
     COUNTEREXAMPLE_CAP,
     DISPATCH,
@@ -36,7 +38,7 @@ from domiperf.patterns import (
     is_pattern_free,
     pattern_by_name,
 )
-from domiperf.universe import MAX_ENUM_ORDER, _all_graphs
+from domiperf.universe import MAX_ENUM_ORDER
 
 SMALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
 TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23}
@@ -144,7 +146,7 @@ def test_canon_automorphisms_preserve_adjacency():
     graphs = [g for k in range(1, 8) for g in enumerate_graphs(k)] + list(_symmetric_graphs())
     found = 0
     for g in graphs:
-        cert, _, automorphisms = canonical_labeling(g.adj)
+        cert, automorphisms = canonical_labeling(g.adj)
         assert cert == certificate(g.adj)
         assert all(_is_automorphism(g.adj, a) for a in automorphisms), g.adj
         found += len(automorphisms)
@@ -157,17 +159,17 @@ def test_canon_automorphism_orbits_match_brute_force():
     for k in range(1, 7):
         for g in enumerate_graphs(k):
             group = [p for p in permutations(range(k)) if _is_automorphism(g.adj, p)]
-            found = canonical_labeling(g.adj)[2]
+            found = canonical_labeling(g.adj)[1]
             assert _orbits(k, found) == _orbits(k, group), g.adj
             checked += 1
     assert checked == 208
 
 
 def test_canonical_order_relabels_to_the_certificate_and_ends_at_maximum_degree():
-    # the premises of the universe's acceptance rule and of its degree test
+    # the premises of canonical_augmentation's orbit test and of its degree test
     graphs = [g for k in range(1, 8) for g in enumerate_graphs(k)] + list(_symmetric_graphs())
     for g in graphs:
-        cert, order, _ = canonical_labeling(g.adj)
+        cert, order, _ = _search(g.adj)
         assert sorted(order) == list(range(g.n))
         position = {v: i for i, v in enumerate(order)}
         assert cert == tuple(sum(1 << position[u] for u in bits(g.adj[v])) for v in order)
@@ -180,7 +182,33 @@ def test_orbit_pruned_growth_matches_naive_growth():
     # mask per orbit and may keep another child of a class
     for k in range(1, 8):
         naive = [certificate(rows) for rows in first_reached_rows(k)]
-        assert [certificate(g.adj) for g in _all_graphs(k)] == naive
+        assert [certificate(g.adj) for g in enumerate_graphs(k)] == naive
+
+
+def _moved_last(g, v):
+    """Rows of g relabeled so that vertex v comes last, the others in order."""
+    order = [u for u in range(g.n) if u != v] + [v]
+    position = {u: i for i, u in enumerate(order)}
+    return tuple(sum(1 << position[u] for u in bits(g.adj[w])) for w in order)
+
+
+def test_canonical_augmentation_accepts_exactly_one_orbit():
+    # McKay's rule decided directly: with each vertex moved last, the accepted
+    # vertices are one orbit of the whole automorphism group
+    checked = 0
+    for k in range(2, 7):
+        for g in enumerate_graphs(k):
+            group = [p for p in permutations(range(k)) if _is_automorphism(g.adj, p)]
+            accepted = []
+            for v in range(k):
+                rows = _moved_last(g, v)
+                decided = canonical_augmentation(rows)
+                if decided is not None:
+                    assert decided == canonical_labeling(rows)
+                    accepted.append(v)
+            assert tuple(accepted) in _orbits(k, group), g.adj
+            checked += 1
+    assert checked == 207
 
 
 def test_canonical_graph_round_trips():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import graphs, pattern_graph
-from domiperf.enumeration import enumerate_up_to
+from domiperf.enumeration import canonical_form, enumerate_graphs, enumerate_up_to
 from domiperf.graph import (
     MAX_ORDER,
     GraphError,
@@ -34,7 +34,7 @@ from domiperf.graph_classes import (
     total_graph,
     tree_corollary_conditions,
 )
-from domiperf.patterns import is_claw_free
+from domiperf.patterns import contains_subgraph, is_claw_free, pattern_by_name
 from domiperf.perfection import perfect_by_theorem
 
 
@@ -227,6 +227,23 @@ def test_line_graph_criterion():
     assert not line_graph_criterion(cycle_graph(6))
     assert line_graph_criterion(star_graph(5))
     assert not line_graph_criterion(path_graph(7))
+
+
+def test_line_graph_criterion_two_p4_clause():
+    # 2P4 has 8 vertices, past the line sweep's hosts of order <= 7
+    two_p4 = pattern_graph("TWO_P4")
+    assert not line_graph_criterion(two_p4)
+    assert canonical_form(line_graph(two_p4)) == canonical_form(pattern_graph("TWO_P3"))
+    pat, _ = perfect_by_theorem(line_graph(two_p4)).witness
+    assert pat.name == "H7"
+    # the hosts of order 8 that only the 2P4 clause decides
+    p7, c6 = pattern_by_name("P7"), pattern_by_name("C6")
+    hosts = [h for h in enumerate_graphs(8) if contains_subgraph(h, pattern_by_name("TWO_P4"))
+             and not contains_subgraph(h, p7) and not contains_subgraph(h, c6)]
+    assert len(hosts) == 23
+    for h in hosts:
+        assert not line_graph_criterion(h)
+        assert not perfect_by_theorem(line_graph(h)).perfect, h.adj
 
 
 def test_middle_graph_criterion():
