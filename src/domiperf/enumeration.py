@@ -39,7 +39,7 @@ from domiperf.graph_classes import (
 from domiperf.invariants import parameter_profile, verify_witness
 from domiperf.patterns import DECISION_ORDER, is_claw_free, is_pattern_free
 from domiperf.perfection import (
-    SubgraphTables,
+    is_minimal_imperfect,
     perfect_by_definition,
     perfect_by_gamma2,
     perfect_by_theorem,
@@ -122,12 +122,10 @@ def _tally(
 
 
 def _theorem_check(G: Graph, minimal_tokens: list[str]) -> dict | None:
-    tables = SubgraphTables(G)
-    vd = perfect_by_definition(G, tables=tables)
-    vg = perfect_by_gamma2(G, tables=tables)
+    vd = perfect_by_definition(G)
+    vg = perfect_by_gamma2(G)
     vt = perfect_by_theorem(G)
-    # minimal imperfect iff the definition scan's first gap is all of G
-    if not vd.perfect and len(vd.witness.vertices) == G.n:
+    if is_minimal_imperfect(G):
         minimal_tokens.append(canonical_form(G))
     if vd.perfect == vg.perfect == vt.perfect:
         return None

@@ -2,9 +2,11 @@
 
 The definition-based and gamma=2-based checks sweep every induced subgraph
 using per-graph bitmask tables (closed-neighborhood unions, an independence
-DP over submasks, and a full domination-number table).  The theorem-based
-check only runs the forbidden-pattern search, so the two routes stay
-independent and their agreement is itself a verifiable claim.
+DP over submasks, and a full domination-number table).  A graph's tables
+are built once and kept for the next question about that graph, so its two
+scans and ``is_minimal_imperfect`` share one build.  The theorem-based check
+only runs the forbidden-pattern search, so the two routes stay independent
+and their agreement is itself a verifiable claim.
 
 Part of that agreement is a theorem.  If G[S] has gamma 2 and alpha_c >= 3,
 a dominating pair {a, b} of S and independent 3-sets of G[S] through a and
@@ -20,7 +22,7 @@ agreement with the other two is evidence for it, not a consequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations
 from typing import Callable
 
@@ -55,6 +57,7 @@ class SubgraphTables:
     3^n subset-of-subset sweep), alpha from the include/exclude DP on the
     lowest vertex; it and the neighbourhood unions read only smaller masks,
     so one pass fills both.  Cost is exponential; capped at ``MAX_SWEEP_ORDER``.
+    The scans build them through ``_tables``, which keeps the last graph's.
     """
 
     def __init__(self, G: Graph):
@@ -106,6 +109,12 @@ class SubgraphTables:
         return best
 
 
+@lru_cache(maxsize=1)
+def _tables(G: Graph) -> SubgraphTables:
+    """G's tables, kept for the next question about the same graph."""
+    return SubgraphTables(G)
+
+
 @cache
 def _ascending_subsets(n: int) -> tuple[int, ...]:
     """Nonempty subset masks by increasing size, lexicographic within a size."""
@@ -130,23 +139,14 @@ def _scan(
     return PerfectionVerdict(False, method, SubsetWitness(set_of(s), t.gamma[s], t.common_ind(s)))
 
 
-def _tables_of(G: Graph, tables: SubgraphTables | None) -> SubgraphTables:
-    """``tables`` if given, which must be G's own, else G's tables built now."""
-    if tables is None:
-        return SubgraphTables(G)
-    if tables.graph != G:
-        raise GraphError("subgraph tables were built for another graph")
-    return tables
-
-
-def perfect_by_definition(G: Graph, tables: SubgraphTables | None = None) -> PerfectionVerdict:
+def perfect_by_definition(G: Graph) -> PerfectionVerdict:
     """Check gamma == alpha_c on every nonempty induced subgraph directly."""
-    return _scan(_tables_of(G, tables), "definition", _gap)
+    return _scan(_tables(G), "definition", _gap)
 
 
-def perfect_by_gamma2(G: Graph, tables: SubgraphTables | None = None) -> PerfectionVerdict:
+def perfect_by_gamma2(G: Graph) -> PerfectionVerdict:
     """Only induced subgraphs with gamma = 2 are tested; failure is alpha_c = 3."""
-    return _scan(_tables_of(G, tables), "gamma2-definition", _gamma2_gap)
+    return _scan(_tables(G), "gamma2-definition", _gamma2_gap)
 
 
 def perfect_by_theorem(G: Graph) -> PerfectionVerdict:
@@ -159,11 +159,11 @@ def is_minimal_imperfect(G: Graph) -> bool:
     """gamma < alpha_c on G itself, equality on every proper induced subgraph.
 
     As gamma <= alpha_c always holds, that is: the definition scan's first gap
-    is the whole vertex set.  ``SubgraphTables`` runs its 3^n sweep before
-    either test, so testing the gap on G itself first saves only the scan.
+    is the whole vertex set.  It shares G's one table build with the scans, and
+    testing the gap on G itself first spares the scan on most graphs.
     K0 has no nonempty induced subgraph, so it is perfect, not minimal imperfect.
     """
-    t = SubgraphTables(G)
+    t = _tables(G)
     return G.n > 0 and _gap(t, G.vertex_mask) and (
         len(_scan(t, "definition", _gap).witness.vertices) == G.n
     )

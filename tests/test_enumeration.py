@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import pickle
@@ -6,10 +7,12 @@ import subprocess
 import sys
 from functools import partial
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
 from conftest import first_reached_rows, pattern_graph, prufer_tree
+from domiperf import enumeration, perfection
 from domiperf.canon import (
     _search, canonical_augmentation, canonical_labeling, certificate, tree_certificate,
 )
@@ -38,7 +41,7 @@ from domiperf.patterns import (
     is_pattern_free,
     pattern_by_name,
 )
-from domiperf.universe import MAX_ENUM_ORDER
+from domiperf.universe import MAX_ENUM_ORDER, _graph_level, _grow, _orbit_representatives
 
 SMALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
 TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23}
@@ -183,6 +186,24 @@ def test_orbit_pruned_growth_matches_naive_growth():
     for k in range(1, 8):
         naive = [certificate(rows) for rows in first_reached_rows(k)]
         assert [certificate(g.adj) for g in enumerate_graphs(k)] == naive
+
+
+def test_growth_accepts_each_class_once_through_order_8():
+    # the level's dict keeps one child per class, so a duplicate accepted
+    # child would not show in the counts: count the accepted children instead
+    a000088 = {**SMALL_COUNTS, 7: 1044, 8: 12346}
+    for k in range(2, 9):
+        accepted = []
+
+        def counted(child):
+            decided = canonical_augmentation(child)
+            if decided is not None:
+                accepted.append(decided[0])
+            return decided
+
+        parents = ((g.adj, _orbit_representatives(k - 1, gens)) for g, gens in _graph_level(k - 1))
+        level = _grow(parents, counted)
+        assert len(accepted) == len(level) == len(_graph_level(k)) == a000088[k], k
 
 
 def _moved_last(g, v):
@@ -356,6 +377,18 @@ def test_patterns_import_no_tables_or_solvers():
     assert loaded == {"domiperf", "domiperf.patterns", "domiperf.canon", "domiperf.graph"}
 
 
+def test_enumeration_imports_only_perfection_verdicts():
+    # perfection owns its tables and the minimality rule; the sweeps only ask it
+    tree = ast.parse(Path(enumeration.__file__).read_text(encoding="utf-8"))
+    imported = [(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    names = {name for module, name in imported if module == "domiperf.perfection"}
+    assert names == {"perfect_by_definition", "perfect_by_gamma2", "perfect_by_theorem",
+                     "is_minimal_imperfect"}
+    assert not any(isinstance(node, ast.Import) and any(
+        alias.name == "domiperf.perfection" for alias in node.names) for node in ast.walk(tree))
+
+
 def test_enumeration_caps():
     with pytest.raises(GraphError):
         list(enumerate_graphs(9))
@@ -376,6 +409,20 @@ def test_verify_theorem_small():
     assert report.checked == 52
     assert report.clean
     assert "minimal imperfect graphs found: 0" in report.notes[0]
+
+
+def test_theorem_sweep_builds_one_table_per_graph(monkeypatch):
+    builds = []
+    build = perfection.SubgraphTables.__init__
+
+    def counted(self, G):
+        builds.append(G)
+        build(self, G)
+
+    monkeypatch.setattr(perfection.SubgraphTables, "__init__", counted)
+    perfection._tables.cache_clear()
+    verify_suites(["theorem"], 6)
+    assert len(builds) == sum(SMALL_COUNTS.values()) == 208
 
 
 def test_verify_chain_small():

@@ -86,15 +86,6 @@ def test_cap_enforced():
         perfect_by_definition(build_graph(MAX_SWEEP_ORDER + 1, []))
 
 
-def test_tables_of_another_graph_are_refused():
-    # K3's tables would call the imperfect P6 perfect
-    p6, k3 = path_graph(6), complete_graph(3)
-    for fn in (perfect_by_definition, perfect_by_gamma2):
-        with pytest.raises(GraphError, match="another graph"):
-            fn(p6, SubgraphTables(k3))
-        assert not fn(p6, SubgraphTables(path_graph(6))).perfect
-
-
 def test_minimality_of_catalog():
     for k in range(1, 11):
         assert is_minimal_imperfect(pattern_graph(f"H{k}"))
