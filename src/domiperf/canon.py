@@ -1,4 +1,4 @@
-"""Isomorphism certificates: graphs by individualization and refinement, trees by centres.
+"""Isomorphism certificates by individualization and refinement.
 
 The graph certificate is the adjacency relabeled by one leaf of a search
 tree, in the simplest form of McKay & Piperno, "Practical graph isomorphism,
@@ -24,14 +24,15 @@ take their orbits from the public ``orbit_closure`` too.
 ``canonical_augmentation`` decides, from the same search, whether a graph's
 last vertex is the one that canonical augmentation adds.
 
-The tree certificate is the least rooted-subtree code at the tree's centres.
+Trees need no certificate: the universe lists each free tree once by
+construction (:mod:`domiperf.universe`).
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from domiperf.graph import Graph, GraphError, bits
+from domiperf.graph import Graph
 
 
 def _refine(adj: Sequence[int], cells: list[list[int]], splitters: list[int]) -> list[list[int]]:
@@ -188,24 +189,3 @@ def canonical_graph(G: Graph) -> Graph:
     """G relabeled by its certificate: isomorphic graphs give equal results."""
     return Graph(G.n, certificate(G.adj))
 
-
-def tree_certificate(rows: tuple[int, ...]) -> str:
-    """Rooted-subtree code minimized over the tree's one or two centres.
-
-    Raises ``GraphError`` unless ``rows`` is a tree: n >= 1 vertices, n - 1
-    edges and a leaf to strip in every round, hence connected and acyclic.
-    """
-    n = len(rows)
-    # the centres: strip every leaf at once until at most two vertices remain (Jordan, 1869)
-    alive = leaves = (1 << n) - 1
-    while alive.bit_count() > 2 and leaves:
-        leaves = sum(1 << v for v in bits(alive) if (rows[v] & alive).bit_count() == 1)
-        alive &= ~leaves
-    if not n or alive.bit_count() > 2 or sum(row.bit_count() for row in rows) != 2 * n - 2:
-        raise GraphError("tree certificate expects a tree")
-
-    def rooted(v: int, parent: int) -> str:
-        subs = sorted(rooted(u, v) for u in bits(rows[v]) if u != parent)
-        return "(" + "".join(subs) + ")"
-
-    return min(rooted(c, -1) for c in bits(alive))

@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from functools import partial
 from typing import Callable, Iterable, Iterator, Sequence
@@ -79,9 +78,14 @@ def _order(text: str) -> int:
 def _pool_map(fn: Callable, items: Sequence, workers: int) -> Iterator:
     """fn over items, results in input order; on a process pool if ``workers`` > 1 and
     there are at least two items."""
-    parallel = workers > 1 and len(items) > 1
-    with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
-        yield from pool.map(fn, items) if pool else map(fn, items)
+    if not (workers > 1 and len(items) > 1):
+        yield from map(fn, items)
+        return
+    # imported here: the single-process commands never load the pool's modules
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(fn, items)
 
 
 def _map_records(

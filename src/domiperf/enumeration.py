@@ -254,11 +254,13 @@ SUITES = {
 
 # Every sweep once, heaviest first: workers take them in this order, so the
 # longest ones start at once and the short ones fill in at the end.  Times at
-# order 7 once the universes are built (median of 5, three runs, CPython 3.11,
-# 2-core Xeon VM): theorem 0.56 s, line 0.23 s, claw-free 0.11 s, chordal
-# 0.10 s, chain 0.10 s, tree 0.08 s, block 0.02 s, middle 0.005 s; each
-# worker also builds the universe to order 7 once (0.21 s, median of 5 fresh
-# processes).
+# order 7 once the universes are built (median of 5, range over three fresh
+# processes, CPython 3.11, 2-core Xeon VM): theorem 0.45-0.76 s, line
+# 0.23-0.40 s, claw-free 0.07-0.12 s, chordal 0.06-0.10 s, chain 0.10-0.17 s,
+# tree 0.10-0.16 s, block 0.03-0.05 s, middle 0.005-0.009 s.  Each worker also
+# builds the universe to order 7 once (0.14-0.26 s), and the trees to order
+# 12 take 0.015-0.03 s.  Moving chain and tree ahead of claw-free and chordal
+# was faster in only 4 of 10 alternating runs of ``verify --order 7``.
 DISPATCH = (_theorem_sweep, _line_sweep, _claw_free_sweep, _chordal_sweep, _chain_sweep,
             _tree_sweep, _block_sweep, _middle_sweep)
 

@@ -27,12 +27,20 @@ earlier vertices, chosen so that the first embedding of each such family in
 plan order passes.  In index order that is the lexicographically smallest,
 so the witness search still finds it first.  The orbits are those of the
 generators ``canon`` finds (:func:`~domiperf.canon.orbit_closure`).
+
+A pattern vertex of degree d is mapped only into its degree band of the
+host: degree at least d, and in induced mode at most d + n - p, since an
+induced image has exactly d neighbours in the image and the other n - p host
+vertices lie outside it (Ullmann's candidate refinement, J. ACM 1976).  The
+band drops only vertices that no embedding uses, so every plan finds what it
+found without it, the smallest witness included.  Each (host, p, mode) gets
+its bands once, for all the patterns searched in that host.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from typing import NamedTuple
 
 from domiperf.canon import canonical_labeling, orbit_closure
@@ -108,10 +116,10 @@ def pattern_by_name(name: str) -> Pattern:
 
 
 class _Step(NamedTuple):
-    """One step of a search: map ``vertex`` to a host vertex of degree at least
-    ``degree`` that is adjacent to the images of ``placed``, in induced mode
-    not adjacent to the images of ``apart``, and greater than the image of
-    ``above`` (no bound if it is -1)."""
+    """One step of a search: map ``vertex``, of degree ``degree``, to a host
+    vertex of its degree band that is adjacent to the images of ``placed``, in
+    induced mode not adjacent to the images of ``apart``, and greater than the
+    image of ``above`` (no bound if it is -1)."""
 
     vertex: int
     degree: int
@@ -170,26 +178,34 @@ def _plan(pattern: Pattern, induced: bool, witness: bool = False) -> tuple[_Step
     return tuple(steps)
 
 
-def _search(host: Graph, plan: tuple[_Step, ...]) -> tuple[int, ...] | None:
+@lru_cache(maxsize=8)
+def _bands(host: Graph, p: int, induced: bool) -> tuple[int, ...]:
+    """band[d]: the host vertices an embedding of a p-vertex pattern can give
+    a pattern vertex of degree d, for d < p.
+
+    An image keeps the vertex's d neighbours; in induced mode its other
+    neighbours lie outside the image, so there are at most n - p of them.
+    The patterns searched in one host share the table.
+    """
+    degrees = [row.bit_count() for row in host.adj]
+    slack = host.n - p if induced else host.n
+    return tuple(sum(1 << v for v, e in enumerate(degrees) if d <= e <= d + slack)
+                 for d in range(p))
+
+
+def _search(host: Graph, plan: tuple[_Step, ...], induced: bool) -> tuple[int, ...] | None:
     p = len(plan)
     if p > host.n:
         return None
     hadj = host.adj
-    # every embedding maps q to a host vertex of at least q's degree;
-    # atleast[d] holds the host vertices of degree d or more, for the pattern
-    # degrees d < p
-    atleast = [0] * p
-    for v, row in enumerate(hadj):
-        atleast[min(row.bit_count(), p - 1)] |= 1 << v
-    for d in range(p - 2, -1, -1):
-        atleast[d] |= atleast[d + 1]
+    band = _bands(host, p, induced)
     mapping = [0] * p
 
     def extend(i: int, used: int) -> bool:
         if i == p:
             return True
         q, degree, placed, apart, above = plan[i]
-        cand = atleast[degree] & ~used
+        cand = band[degree] & ~used
         for r in placed:
             cand &= hadj[mapping[r]]
         for r in apart:
@@ -208,12 +224,12 @@ def _search(host: Graph, plan: tuple[_Step, ...]) -> tuple[int, ...] | None:
 
 
 def _embeds(G: Graph, P: Pattern, induced: bool) -> bool:
-    return _search(G, _plan(P, induced)) is not None
+    return _search(G, _plan(P, induced), induced) is not None
 
 
 def find_induced(G: Graph, P: Pattern) -> Embedding | None:
     """The lexicographically smallest induced embedding of P in G, or None."""
-    found = _search(G, _plan(P, True, True))
+    found = _search(G, _plan(P, True, True), True)
     return Embedding(found) if found is not None else None
 
 

@@ -122,7 +122,18 @@ def _ascending_subsets(n: int) -> tuple[int, ...]:
 
 
 def _gap(t: SubgraphTables, s: int) -> bool:
-    return t.gamma[s] != t.common_ind(s)
+    """gamma(S) != alpha_c(S).  As gamma <= alpha_c = min over v in S of
+    1 + alpha(S - N[v]), the first v with alpha(S - N[v]) < gamma(S) shows
+    there is no gap."""
+    gamma = t.gamma[s]
+    alpha, closed = t.alpha, t.closed
+    m = s
+    while m:
+        lb = m & -m
+        m ^= lb
+        if alpha[s & ~closed[lb.bit_length() - 1]] < gamma:
+            return False
+    return True
 
 
 def _gamma2_gap(t: SubgraphTables, s: int) -> bool:

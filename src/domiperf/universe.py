@@ -1,9 +1,10 @@
 """Universes of non-isomorphic graphs and trees, one representative per class.
 
-Both grow by one step, ``_grow``: each representative of the previous order
+Graphs grow by one step, ``_grow``: each representative of the previous order
 gets a new vertex joined to each allowed mask, a key decides each child, and
-each class keeps the first child the key accepted.  Trees attach a leaf, are
-keyed by their tree certificate and keep first-seen order.
+each class keeps the first child the key accepted.  Trees need no key: the
+WROM walk over level sequences (``_free_tree_levels``) lists each class
+exactly once, and the trees keep its order.
 
 Graphs grow by canonical augmentation, keyed by
 :func:`~domiperf.canon.canonical_augmentation`.  A parent joins one mask per
@@ -21,7 +22,7 @@ from __future__ import annotations
 from functools import cache
 from typing import Callable, Iterable, Iterator
 
-from domiperf.canon import canonical_augmentation, tree_certificate
+from domiperf.canon import canonical_augmentation
 from domiperf.graph import Graph, GraphError
 
 MAX_ENUM_ORDER = 8
@@ -92,13 +93,76 @@ def _graph_level(order: int) -> list[tuple[Graph, list[list[int]]]]:
     return classes
 
 
+def _next_rooted(levels: list[int], p: int) -> list[int] | None:
+    """The next canonical level sequence below every one that starts with ``levels[:p + 1]``.
+
+    Beyer & Hedetniemi's successor ("Constant time generation of rooted
+    trees", SIAM J. Comput. 1980): vertex p moves up to its parent q's level
+    and the rest repeats ``levels[q:p]``.  None if p is a child of the root.
+    """
+    if levels[p] <= 1:
+        return None
+    q = p - 1
+    while levels[q] != levels[p] - 1:
+        q -= 1
+    out = levels[:p]
+    for i in range(p, len(levels)):
+        out.append(out[i - p + q])
+    return out
+
+
+def _free_tree_levels(order: int) -> Iterator[list[int]]:
+    """One level sequence per free tree of the order, rooted at a centre.
+
+    Wright, Richmond, Odlyzko & McKay ("Constant time generation of free
+    trees", SIAM J. Comput. 1986).  A canonical level sequence lists a rooted
+    tree in preorder, the root at level 0 and each vertex's subtrees in
+    descending lexicographic order, so the root's first subtree T1 is a
+    tallest one; h1 is its deepest level.  T2 is the root with its other
+    subtrees, h2 its deepest level.  The root is a centre iff h2 >= h1 - 1.
+    If h2 = h1 - 1, T1's root is the other centre, and rooting there swaps
+    the two sides: the root kept is the one whose T1 is not the larger side
+    in (order, sequence).
+
+    The walk takes the canonical sequences in descending order from the path
+    rooted at its centre (Beyer & Hedetniemi's successor).  While T1 stays,
+    T2 descends: h2 never rises, T2's order is fixed and its sequence falls.
+    So once a sequence fails, each one fails until T1 changes, and the walk
+    jumps there.  A T1 that reaches position order - h1 + 1 leaves T2 too few
+    vertices to be h1 - 1 deep; it is cut back at that position first.
+    """
+    levels = list(range(order // 2 + 1)) + list(range(1, (order + 1) // 2))
+    while levels is not None:
+        t2 = next((i for i in range(2, order) if levels[i] == 1), order)  # T2's first child
+        h1 = max(levels[1:t2], default=0)
+        if t2 > order - h1 + 1:
+            levels = _next_rooted(levels, order - h1 + 1)
+            continue
+        h2 = max(levels[t2:], default=0)
+        if h2 == h1 or h2 == h1 - 1 and (
+            (t2 - 1, [level - 1 for level in levels[1:t2]]) <= (order - t2 + 1, [0, *levels[t2:]])
+        ):
+            yield levels
+            last = max((i for i in range(order) if levels[i] > 1), default=0)
+            levels = _next_rooted(levels, last)
+        else:
+            levels = _next_rooted(levels, t2 - 1)
+
+
 @cache
 def _all_trees(order: int) -> list[Graph]:
-    if order == 1:
-        return [Graph(1, (0,))]
-    parents = ((T.adj, [1 << v for v in range(T.n)]) for T in _all_trees(order - 1))
-    level = _grow(parents, lambda rows: (tree_certificate(rows), None))
-    return [Graph(order, rows) for rows, _ in level.values()]
+    """One tree per class, vertex i the i-th of its level sequence (WROM order)."""
+    trees = []
+    for levels in _free_tree_levels(order):
+        rows = [0] * order
+        last = [0] * order  # last[h]: the latest vertex at level h, the parent of the next at h + 1
+        for v in range(1, order):
+            u = last[levels[v] - 1]
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+            last[levels[v]] = v
+        trees.append(Graph(order, tuple(rows)))
+    return trees
 
 
 def enumerate_graphs(

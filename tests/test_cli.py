@@ -7,7 +7,7 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from conftest import pattern_graph
-from domiperf import cli, enumeration
+from domiperf import enumeration
 from domiperf.cli import _worker_count, main
 from domiperf.enumeration import MAX_ENUM_ORDER, canonical_form
 from domiperf.formats import emit_graph6, parse_graph6
@@ -125,7 +125,8 @@ def test_verify_on_two_workers_matches_one(capsys, monkeypatch):
 
     monkeypatch.setenv("DOMIPERF_WORKERS", "2")
     monkeypatch.setattr("os.cpu_count", lambda: 2)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", CountedPool)
+    # the CLI imports the pool class when it starts a pool, so patch it at its source
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", CountedPool)
     pooled_code, pooled, _ = _run(capsys, ["verify", "--order", "6", "--suite", "all"])
     assert pools == [2]
 

@@ -13,9 +13,7 @@ import pytest
 
 from conftest import first_reached_rows, pattern_graph, prufer_tree
 from domiperf import enumeration, perfection
-from domiperf.canon import (
-    _search, canonical_augmentation, canonical_labeling, certificate, tree_certificate,
-)
+from domiperf.canon import _search, canonical_augmentation, canonical_labeling, certificate
 from domiperf.enumeration import (
     COUNTEREXAMPLE_CAP,
     DISPATCH,
@@ -41,7 +39,9 @@ from domiperf.patterns import (
     is_pattern_free,
     pattern_by_name,
 )
-from domiperf.universe import MAX_ENUM_ORDER, _graph_level, _grow, _orbit_representatives
+from domiperf.universe import (
+    MAX_ENUM_ORDER, MAX_TREE_ORDER, _graph_level, _grow, _orbit_representatives,
+)
 
 SMALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
 TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23}
@@ -292,23 +292,19 @@ def test_tree_universe_matches_networkx():
     )
 
 
-@pytest.mark.parametrize("rows", [build_graph(3, [(0, 1)]).adj, ()], ids=["K2+K1", "empty"])
-def test_tree_certificate_rejects_forests_and_the_empty_graph(rows):
-    with pytest.raises(GraphError, match="expects a tree"):
-        tree_certificate(rows)
+def test_trees_are_distinct_trees_through_order_12():
+    # the generator lists each class once with no isomorphism test: check it
+    # with canon's certificate, which plays no part in the generator
+    for order in range(1, MAX_TREE_ORDER + 1):
+        trees = list(enumerate_graphs(order, "tree"))
+        assert all(t.n == order and t.is_tree() for t in trees), order
+        assert len({certificate(t.adj) for t in trees}) == len(trees), order
 
 
-@pytest.mark.parametrize("rows", [cycle_graph(4).adj, (0, 0, 0), (6, 5, 3, 0)],
-                         ids=["C4", "3K1", "K3+K1"])
-def test_tree_certificate_rejects_graphs_without_leaves(rows):
-    # no leaf to strip: run in a child process with a timeout, so a loop
-    # that never ends fails the test instead of stalling the suite
-    script = f"from domiperf.canon import tree_certificate\ntree_certificate({rows!r})\n"
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=10,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-    )
-    assert "GraphError: tree certificate expects a tree" in proc.stderr
+def test_tree_enumeration_cap_boundary():
+    assert len(list(enumerate_graphs(MAX_TREE_ORDER, "tree"))) == 551
+    with pytest.raises(GraphError, match=f"tree enumeration capped at order {MAX_TREE_ORDER}"):
+        list(enumerate_graphs(MAX_TREE_ORDER + 1, "tree"))
 
 
 def test_no_duplicate_canonical_tokens():

@@ -1,6 +1,8 @@
 import ast
 import importlib
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -131,3 +133,16 @@ def test_brute_oracles_stay_naive():
         if isinstance(node, ast.Name) and node.id in defined - allowed
     }
     assert found == set()
+
+
+def test_single_process_commands_load_no_pool_modules():
+    # compute and search-minimal run in-process: importing the CLI and the
+    # sweeps must not pay for concurrent.futures and multiprocessing
+    code = ("import sys, domiperf.cli, domiperf.enumeration; "
+            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+            "if m in sys.modules))")
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    ).stdout
+    assert out.strip() == "[]"

@@ -10,6 +10,7 @@ from domiperf.graph_classes import corona_k1, line_graph
 from domiperf.patterns import (
     FORBIDDEN_NAMES,
     Pattern,
+    _bands,
     _plan,
     _search,
     catalog,
@@ -273,17 +274,24 @@ def test_plans_whose_generators_miss_part_of_a_stabilizer():
 
 
 @st.composite
-def patterns_and_hosts(draw):
-    """A pattern graph of order 2..6 or ``PART_GROUP``, and a host of order at
-    most 8 that half the time holds the pattern, randomly relabeled."""
-    pg = draw(st.one_of(graphs(min_n=2, max_n=6), st.just(PART_GROUP)))
+def hosts_of(draw, pg, max_n):
+    """A host of order at most ``max_n`` that half the time holds ``pg``:
+    pg with extra vertices and edges, randomly relabeled."""
     if draw(st.booleans()):
-        return pg, draw(st.one_of(graphs(max_n=8), sparse_hosts(max_n=8)))
-    n = draw(st.integers(pg.n, 8))
+        return draw(st.one_of(graphs(max_n=max_n), sparse_hosts(max_n=max_n)))
+    n = draw(st.integers(pg.n, max_n))
     pairs = [(u, v) for v in range(pg.n, n) for u in range(v)]
     edges = pg.edges() + (draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
     perm = draw(st.permutations(range(n)))
-    return pg, build_graph(n, [(perm[u], perm[v]) for u, v in edges])
+    return build_graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@st.composite
+def patterns_and_hosts(draw):
+    """A pattern graph of order 2..6 or ``PART_GROUP``, and a host of order at
+    most 8 that half the time holds the pattern."""
+    pg = draw(st.one_of(graphs(min_n=2, max_n=6), st.just(PART_GROUP)))
+    return pg, draw(hosts_of(pg, 8))
 
 
 @given(patterns_and_hosts())
@@ -295,9 +303,82 @@ def test_plans_of_patterns_outside_the_catalog(pattern_and_host):
     pg, host = pattern_and_host
     pat = Pattern("X", pg)
     first = _brute_first_induced(host, pat)
-    assert _search(host, _plan(pat, True, True)) == first
-    assert (_search(host, _plan(pat, True)) is not None) == (first is not None)
-    assert (_search(host, _plan(pat, False)) is not None) == _brute_contains(host, pat)
+    assert _search(host, _plan(pat, True, True), True) == first
+    assert (_search(host, _plan(pat, True), True) is not None) == (first is not None)
+    assert (_search(host, _plan(pat, False), False) is not None) == _brute_contains(host, pat)
+
+
+def _naive_maps(host, pg, induced, order, first_image=None):
+    """Every embedding of pg in host, mapping the pattern vertices in ``order``.
+
+    Each vertex tries every unused host vertex in ascending order that keeps
+    its pattern edges to the vertices mapped before it, and in induced mode
+    its non-edges too: no degree test.  In index order the first map is the
+    lexicographically smallest.  ``first_image`` fixes the first vertex's image.
+    """
+    mapping = [0] * pg.n
+
+    def extend(i, used):
+        if i == len(order):
+            yield tuple(mapping)
+            return
+        q = order[i]
+        for v in range(host.n) if i or first_image is None else (first_image,):
+            if used >> v & 1:
+                continue
+            kept = [(pg.adj[q] >> r & 1, host.adj[v] >> mapping[r] & 1) for r in order[:i]]
+            if all(h == e if induced else h >= e for e, h in kept):
+                mapping[q] = v
+                yield from extend(i + 1, used | 1 << v)
+
+    return extend(0, 0)
+
+
+def _band_misses(host, pat, induced, band):
+    """The (pattern vertex, host vertex) pairs of some embedding that ``band`` leaves out."""
+    pg = pat.graph
+    missed = []
+    for q in range(pg.n):
+        # map q first, then in induced mode its non-neighbours, else its
+        # neighbours: a host vertex of too high or too low a degree fails early
+        order = [q] + sorted((r for r in range(pg.n) if r != q),
+                             key=lambda r: ((pg.adj[q] >> r & 1) == induced, r))
+        for v in range(host.n):
+            if not band[pg.degree(q)] >> v & 1 and next(
+                    _naive_maps(host, pg, induced, order, v), None) is not None:
+                missed.append((q, v))
+    return missed
+
+
+@pytest.mark.parametrize("pat", catalog(), ids=lambda p: p.name)
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_degree_bands_keep_every_embedding(pat, data):
+    # an embedding maps each pattern vertex into its degree band, so the
+    # band-limited search still finds the lexicographically smallest witness
+    host = data.draw(hosts_of(pat.graph, 9))
+    p = pat.graph.n
+    for induced in (True, False):
+        assert _band_misses(host, pat, induced, _bands(host, p, induced)) == []
+    first = next(_naive_maps(host, pat.graph, True, range(p)), None)
+    if host.n <= 7:
+        assert first == _brute_first_induced(host, pat)
+    assert _search(host, _plan(pat, True, True), True) == first
+    assert (_search(host, _plan(pat, True), True) is not None) == (first is not None)
+    contained = next(_naive_maps(host, pat.graph, False, range(p)), None) is not None
+    assert (_search(host, _plan(pat, False), False) is not None) == contained
+
+
+def test_induced_band_reaches_n_minus_p_above_the_degree():
+    # the centre of K(1,3) holds the middle of an induced P3 with one
+    # neighbour to spare: a band of slack n - p - 1 would lose that embedding
+    host, pat = star_graph(3), pattern_by_name("P3")
+    centre = next(v for v in range(host.n) if host.degree(v) == 3)
+    band = _bands(host, 3, True)
+    assert band[2] >> centre & 1
+    narrow = list(band)
+    narrow[2] &= ~(1 << centre)
+    assert _band_misses(host, pat, True, narrow) == [(1, centre)]
 
 
 def test_induced_monotone_under_extra_vertices():

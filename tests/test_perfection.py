@@ -32,6 +32,8 @@ from domiperf.perfection import (
     MAX_SWEEP_ORDER,
     SubgraphTables,
     SubsetWitness,
+    _gap,
+    _tables,
     is_minimal_imperfect,
     perfect_by_definition,
     perfect_by_gamma2,
@@ -186,6 +188,17 @@ def test_scans_match_brute_force_in_ascending_order():
     cases += [build_graph(8, [p for p in pairs if rng.random() < 0.5]) for _ in range(30)]
     for g in cases:
         _check_scans_by_brute_force(g)
+
+
+def test_early_exit_gap_matches_gamma_against_alpha_c():
+    # _gap stops at the first vertex that shows alpha_c(S) <= gamma(S)
+    checked = 0
+    for g in enumerate_up_to(6):
+        t = _tables(g)
+        for s in range(1, 1 << g.n):
+            assert _gap(t, s) == (t.gamma[s] != t.common_ind(s)), (g.adj, s)
+            checked += 1
+    assert checked == 11082
 
 
 # sha256 over (perfect, pattern name, mapping) of perfect_by_theorem on every
