@@ -87,7 +87,7 @@ def tree_corollary_conditions(G: Graph) -> tuple[bool, bool, bool, bool]:
         raise GraphError("tree corollary expects a tree")
     c1 = is_pattern_free(G, DECISION_ORDER)
     c2 = is_pattern_free(G, TREE_FORBIDDEN)
-    c3 = G.diameter() <= 4 and sum(1 for v in range(G.n) if G.degree(v) >= 3) <= 1
+    c3 = sum(1 for v in range(G.n) if G.degree(v) >= 3) <= 1 and G.diameter() <= 4
     c4 = classify_tree(G) is not TreeClass.OTHER
     return c1, c2, c3, c4
 
@@ -184,12 +184,17 @@ def claw_free_corollary(G: Graph) -> bool:
 # -- constructions ----------------------------------------------------------
 
 def line_graph(H: Graph) -> Graph:
-    """Vertices are the edges of H in lexicographic endpoint order."""
+    """Vertices are the edges of H in lexicographic endpoint order; edge k = uv
+    meets every other edge at u or at v."""
     host_edges = H.edges()
     if len(host_edges) > MAX_ORDER:
         raise GraphError(f"line graph would exceed {MAX_ORDER} vertices")
-    out = [(a, b) for (a, e), (b, f) in combinations(enumerate(host_edges), 2) if set(e) & set(f)]
-    return build_graph(len(host_edges), out)
+    at = [0] * H.n  # at[v]: the edges at v
+    for k, (u, v) in enumerate(host_edges):
+        at[u] |= 1 << k
+        at[v] |= 1 << k
+    rows = ((at[u] | at[v]) & ~(1 << k) for k, (u, v) in enumerate(host_edges))
+    return Graph(len(host_edges), tuple(rows))
 
 
 def corona_k1(H: Graph) -> Graph:

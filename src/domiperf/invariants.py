@@ -3,8 +3,10 @@
 An independent set dominates iff it is maximal, so alpha, alpha_c and i come
 from one memoized search over the maximal independent sets of vertex bitmasks
 (after Tarjan & Trojanowski, 1977), and one walk over the vertices turns its
-optimum into the lexicographically smallest optimal set.  ``parameter_profile``
-runs alpha, its witness walk and the per-vertex alpha_c values on one memo.
+optimum into the lexicographically smallest optimal set.  The search for the
+largest takes a vertex of degree <= 1 before it looks for components.
+``parameter_profile`` runs alpha, its witness walk and the per-vertex alpha_c
+values on one memo.
 
 gamma is a set cover: the fewest vertices whose closed neighbourhoods cover
 V.  One memoized search on (vertices still to cover, candidates allowed)
@@ -55,28 +57,18 @@ def _union(rows: tuple[int, ...] | list[int], mask: int) -> int:
 def _mis(adj: tuple[int, ...], closed: list[int], mask: int, memo: dict, largest: bool) -> int:
     """Size of a largest (``largest``) or smallest maximal independent set of G[mask].
 
-    A disconnected mask is the sum of its components.  For the largest, a
-    vertex u of degree at most 1 lies in some maximum independent set, so it
-    is taken without branching; otherwise the search takes or deletes a
-    vertex w of maximum degree.  For the smallest, every maximal independent
-    set meets N[u] for a vertex u of least degree, so the search branches on
-    the vertex of N[u] it takes.
+    Each node scans the degrees first.  For the largest, a vertex u of degree
+    at most 1 lies in some maximum independent set, so it is taken at once,
+    with no component walk.  Otherwise a disconnected mask is the sum of its
+    components, and a connected one takes or deletes a vertex w of maximum
+    degree (largest) or, as every maximal independent set meets N[u] for u of
+    least degree, branches on the vertex of N[u] it takes (smallest).
     """
     if mask == 0:
         return 0
     cached = memo.get(mask)
     if cached is not None:
         return cached
-    # the component of the lowest vertex in mask
-    comp = frontier = mask & -mask
-    while frontier:
-        frontier = _union(adj, frontier) & mask & ~comp
-        comp |= frontier
-    if comp != mask:
-        res = _mis(adj, closed, comp, memo, largest)
-        res += _mis(adj, closed, mask & ~comp, memo, largest)
-        memo[mask] = res
-        return res
     u, least, w, most = -1, mask.bit_count(), -1, -1
     m = mask
     while m:
@@ -90,15 +82,25 @@ def _mis(adj: tuple[int, ...], closed: list[int], mask: int, memo: dict, largest
             u, least = v, d
             if d <= 1:
                 break
-    if not largest:
+    if largest and least <= 1:
+        res = 1 + _mis(adj, closed, mask & ~closed[u], memo, True)
+        memo[mask] = res
+        return res
+    # the component of the lowest vertex in mask
+    comp = frontier = mask & -mask
+    while frontier:
+        frontier = _union(adj, frontier) & mask & ~comp
+        comp |= frontier
+    if comp != mask:
+        res = _mis(adj, closed, comp, memo, largest)
+        res += _mis(adj, closed, mask & ~comp, memo, largest)
+    elif not largest:
         res = mask.bit_count()
         branch = closed[u] & mask
         while branch:
             b = branch & -branch
             branch ^= b
             res = min(res, 1 + _mis(adj, closed, mask & ~closed[b.bit_length() - 1], memo, False))
-    elif least <= 1:
-        res = 1 + _mis(adj, closed, mask & ~closed[u], memo, True)
     else:
         res = max(1 + _mis(adj, closed, mask & ~closed[w], memo, True),
                   _mis(adj, closed, mask & ~(1 << w), memo, True))

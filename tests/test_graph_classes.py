@@ -197,6 +197,24 @@ def test_constructions():
     assert t == complete_graph(3)
 
 
+def _pairwise_line_graph(h):
+    """L(H) straight from the definition: two edges adjacent iff they share an endpoint."""
+    edges = h.edges()
+    return build_graph(len(edges), [(a, b) for (a, e), (b, f) in combinations(enumerate(edges), 2)
+                                    if set(e) & set(f)])
+
+
+def test_line_graph_matches_pairwise_definition_through_order_6():
+    for h in enumerate_up_to(6):
+        assert line_graph(h) == _pairwise_line_graph(h)
+
+
+@given(graphs(max_n=11))
+@settings(max_examples=60, deadline=None)
+def test_line_graph_matches_pairwise_definition(h):
+    assert line_graph(h) == _pairwise_line_graph(h)
+
+
 def test_construction_caps():
     # each construction stops exactly where its output would pass MAX_ORDER
     k12 = [(u, v) for u in range(12) for v in range(u + 1, 12)]  # 66 edges

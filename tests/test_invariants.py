@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import forests_and_cycles, graphs, pattern_graph, prufer_tree
 from domiperf import invariants
 from domiperf.graph import (
+    MAX_ORDER,
     GraphError,
     bits,
     build_graph,
@@ -198,19 +199,89 @@ def test_domination_of_disjoint_unions(parts):
     _check_lexicographic_witnesses(g)
 
 
-@pytest.mark.parametrize("n", [40, 41, 60, 61])
+@pytest.mark.parametrize("n", [40, 41, 60, 61, MAX_ORDER])
 def test_cycles_and_paths_closed_forms(n):
     # gamma = i = ceil(n/3); alpha_c = floor(n/2); alpha = floor(n/2) on C_n
-    # and ceil(n/2) on P_n
+    # and ceil(n/2) on P_n; on P_n the largest-set search takes one leaf per
+    # level down to the empty mask
     for g, alpha in ((cycle_graph(n), n // 2), (path_graph(n), -(-n // 2))):
         p = parameter_profile(g)
         assert (p.gamma, p.ind_dom, p.common_ind, p.ind) == (-(-n // 3), -(-n // 3), n // 2, alpha)
         assert verify_witness(g, p)
 
 
-def _rooted(t):
-    """Breadth-first order of tree t from vertex 0, and each vertex's parent."""
-    order, parent = [0], {0: None}
+def _count_unions(monkeypatch):
+    """Patch ``invariants._union`` to count its calls; returns the running count."""
+    union = invariants._union
+    calls = [0]
+
+    def counted(rows, mask):
+        calls[0] += 1
+        return union(rows, mask)
+
+    monkeypatch.setattr(invariants, "_union", counted)
+    return calls
+
+
+def test_forests_walk_no_component_for_alpha(monkeypatch):
+    # every nonempty induced subgraph of a forest has a vertex of degree <= 1,
+    # and the largest-set search takes it before it walks any component
+    calls = _count_unions(monkeypatch)
+    rng = random.Random(1)
+    tree = prufer_tree([rng.randrange(60) for _ in range(58)], 60)
+    for g in (path_graph(60), tree):
+        assert independence_number(g)[0] == _forest_independence(g)
+        assert common_independence_number(g) == min(_forest_alpha_through_each_vertex(g))
+    assert calls[0] == 0
+
+
+@st.composite
+def _cycles_and_tree(draw):
+    """One or two cycles of order 3..5 and a tree of order 1..4, interleaved."""
+    edges, n = [], 0
+    for _ in range(draw(st.integers(1, 2))):
+        k = draw(st.integers(3, 5))
+        edges.extend((n + i, n + (i + 1) % k) for i in range(k))
+        n += k
+    k = draw(st.integers(1, 4))
+    edges.extend((n + draw(st.integers(0, i - 1)), n + i) for i in range(1, k))
+    n += k
+    perm = draw(st.permutations(range(n)))
+    return build_graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@given(_cycles_and_tree())
+@settings(max_examples=40, deadline=None)
+def test_alpha_after_the_leaves_are_gone(g):
+    # the tree is taken leaf by leaf; the cycles, with no vertex of degree
+    # <= 1, still reach the component walk, and two of them the split
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_unions(mp)
+        p = parameter_profile(g)
+        assert calls[0] > 0
+    assert p.ind == brute_independence(g)
+    assert p.common_ind == brute_common_independence(g)
+    for v in range(g.n):
+        rest = set(range(g.n)) - set_of(g.adj[v]) - {v}
+        assert p.per_vertex_ind[v] == 1 + brute_independence(g.induced(rest))
+    _check_lexicographic_witnesses(g)
+
+
+def test_tree_of_order_64_matches_dps():
+    # the largest-set search takes one leaf per level down to the empty mask
+    n = MAX_ORDER
+    rng = random.Random(64)
+    t = prufer_tree([rng.randrange(n) for _ in range(n - 2)], n)
+    p = parameter_profile(t)
+    assert p.ind_dom == _tree_independent_domination(t)
+    assert p.ind == _forest_independence(t)
+    assert p.per_vertex_ind == _forest_alpha_through_each_vertex(t)
+    assert verify_witness(t, p)
+
+
+def _rooted(t, root=0):
+    """Breadth-first order of the component of ``root`` in forest t, and each vertex's parent."""
+    order, parent = [root], {root: None}
     for v in order:  # the list grows while it is walked
         for u in set_of(t.adj[v]) - {parent[v]}:
             parent[u] = v
@@ -234,6 +305,36 @@ def _tree_independent_domination(t):
             (max(0, inside[c] - below[c]) for c in kids), default=float("inf"))
         above[v] = sum(below[c] for c in kids)
     return min(inside[0], below[0])
+
+
+def _forest_independence(g):
+    """alpha of a forest by the textbook DP: each vertex with or without, children first."""
+    total, seen = 0, set()
+    for root in range(g.n):
+        if root in seen:
+            continue
+        order, parent = _rooted(g, root)
+        seen.update(order)
+        inside, outside = {}, {}
+        for v in reversed(order):
+            kids = set_of(g.adj[v]) - {parent[v]}
+            inside[v] = 1 + sum(outside[c] for c in kids)
+            outside[v] = sum(max(inside[c], outside[c]) for c in kids)
+        total += max(inside[root], outside[root])
+    return total
+
+
+def _forest_alpha_through_each_vertex(g):
+    return tuple(1 + _forest_independence(g.induced(set(range(g.n)) - set_of(g.closed_masks()[v])))
+                 for v in range(g.n))
+
+
+def test_forest_independence_dp_matches_brute_force():
+    rng = random.Random(0)
+    for n in range(2, 12):
+        t = prufer_tree([rng.randrange(n) for _ in range(n - 2)], n)
+        assert _forest_independence(t) == brute_independence(t)
+        assert min(_forest_alpha_through_each_vertex(t)) == brute_common_independence(t)
 
 
 def test_independent_domination_on_trees_matches_dp():
