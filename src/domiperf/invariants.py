@@ -3,8 +3,9 @@
 An independent set dominates iff it is maximal, so alpha, alpha_c and i come
 from one memoized search over the maximal independent sets of vertex bitmasks
 (after Tarjan & Trojanowski, 1977), and one walk over the vertices turns its
-optimum into the lexicographically smallest optimal set.  The search for the
-largest takes a vertex of degree <= 1 before it looks for components.
+optimum into the lexicographically smallest optimal set.  Both searches take
+an isolated vertex, and the search for the largest a vertex of degree 1,
+before they look for components.
 ``parameter_profile`` runs alpha, its witness walk and the per-vertex alpha_c
 values on one memo.
 
@@ -57,12 +58,13 @@ def _union(rows: tuple[int, ...] | list[int], mask: int) -> int:
 def _mis(adj: tuple[int, ...], closed: list[int], mask: int, memo: dict, largest: bool) -> int:
     """Size of a largest (``largest``) or smallest maximal independent set of G[mask].
 
-    Each node scans the degrees first.  For the largest, a vertex u of degree
-    at most 1 lies in some maximum independent set, so it is taken at once,
-    with no component walk.  Otherwise a disconnected mask is the sum of its
-    components, and a connected one takes or deletes a vertex w of maximum
-    degree (largest) or, as every maximal independent set meets N[u] for u of
-    least degree, branches on the vertex of N[u] it takes (smallest).
+    Each node scans the degrees first.  An isolated vertex lies in every
+    maximal independent set, and for the largest a vertex u of degree 1 lies
+    in some maximum one, so such a u is taken at once, with no component
+    walk.  Otherwise a disconnected mask is the sum of its components, and a
+    connected one takes or deletes a vertex w of maximum degree (largest) or,
+    as every maximal independent set meets N[u] for u of least degree,
+    branches on the vertex of N[u] it takes (smallest).
     """
     if mask == 0:
         return 0
@@ -82,8 +84,8 @@ def _mis(adj: tuple[int, ...], closed: list[int], mask: int, memo: dict, largest
             u, least = v, d
             if d <= 1:
                 break
-    if largest and least <= 1:
-        res = 1 + _mis(adj, closed, mask & ~closed[u], memo, True)
+    if least == 0 or largest and least <= 1:
+        res = 1 + _mis(adj, closed, mask & ~closed[u], memo, largest)
         memo[mask] = res
         return res
     # the component of the lowest vertex in mask

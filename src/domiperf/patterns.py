@@ -35,16 +35,24 @@ vertices lie outside it (Ullmann's candidate refinement, J. ACM 1976).  The
 band drops only vertices that no embedding uses, so every plan finds what it
 found without it, the smallest witness included.  Each (host, p, mode) gets
 its bands once, for all the patterns searched in that host.
+
+Each plan runs as a kernel compiled on its first search, never at import
+(the nested-loop schedules of AutoMine: Mawhirter & Wu, SOSP 2019): one
+``while`` loop per step, the images and the host vertices used so far held
+in locals, and each step's candidates one bit-mask expression.  It takes the
+lowest candidate first, as a backtracking search would, so it returns the
+same first mapping.  CPython nests at most 20 blocks in one function, so a
+pattern has at most ``MAX_PATTERN_ORDER`` = 20 vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from domiperf.canon import canonical_labeling, orbit_closure
-from domiperf.graph import Graph, bits, build_graph
+from domiperf.graph import Graph, GraphError, bits, build_graph
 
 
 @dataclass(frozen=True)
@@ -92,6 +100,10 @@ FORBIDDEN_NAMES = tuple(f"H{k}" for k in range(1, 11))
 # middle graph; of the 830 imperfect line graphs of hosts of order <= 7, P6
 # embeds in 734, C6 in 700 and 2P3 in none.
 DECISION_ORDER = ("H8", "H9", "H7", "H1", "H2", "H3", "H4", "H5", "H6", "H10")
+# The largest pattern order a search takes.  Its kernel nests one loop per
+# pattern vertex, and CPython compiles at most 20 statically nested blocks in
+# one function.  The catalog's largest pattern has 8 vertices.
+MAX_PATTERN_ORDER = 20
 
 
 @cache
@@ -154,6 +166,9 @@ def _plan(pattern: Pattern, induced: bool, witness: bool = False) -> tuple[_Step
     of a stabilizer only drop bounds.
     """
     padj = pattern.graph.adj
+    if len(padj) > MAX_PATTERN_ORDER:
+        raise GraphError(
+            f"pattern order {len(padj)} exceeds MAX_PATTERN_ORDER = {MAX_PATTERN_ORDER}")
     order: list[int] = []
     mapped = 0
     rest = list(range(len(padj)))
@@ -193,34 +208,42 @@ def _bands(host: Graph, p: int, induced: bool) -> tuple[int, ...]:
                  for d in range(p))
 
 
+@cache
+def _kernel(plan: tuple[_Step, ...]) -> Callable[..., tuple[int, ...] | None]:
+    """The plan compiled into nested loops, built on first use.
+
+    ``kernel(hadj, band)`` runs one ``while`` loop per step.  Step i keeps its
+    image in the local ``m{q}`` and the host vertices used so far in
+    ``u{i}``; its candidates are one expression, ``band[d] & ~u{i-1}``, then
+    ``& hadj[m{r}]`` for each placed r, ``& ~hadj[m{r}]`` for each apart r
+    and ``& (-2 << m{above})``.  The lowest candidate goes first, so the
+    kernel returns the first mapping in plan order, or None.
+    """
+    lines = ["def kernel(hadj, band):"]
+    for i, (q, degree, placed, apart, above) in enumerate(plan):
+        pad = "    " * (i + 1)
+        terms = [f"band[{degree}]"] + ([f"~u{i - 1}"] if i else [])
+        terms += [f"hadj[m{r}]" for r in placed] + [f"~hadj[m{r}]" for r in apart]
+        terms += [f"(-2 << m{above})"] if above >= 0 else []
+        lines += [f"{pad}c{i} = {' & '.join(terms)}",
+                  f"{pad}while c{i}:",
+                  f"{pad}    b = c{i} & -c{i}",
+                  f"{pad}    c{i} ^= b",
+                  f"{pad}    m{q} = b.bit_length() - 1"]
+        if i + 1 < len(plan):
+            lines.append(f"{pad}    u{i} = {f'u{i - 1} | ' if i else ''}b")
+    images = "".join(f"m{q}, " for q in range(len(plan)))
+    lines += [f"{'    ' * (len(plan) + 1)}return ({images})", "    return None"]
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    return namespace["kernel"]
+
+
 def _search(host: Graph, plan: tuple[_Step, ...], induced: bool) -> tuple[int, ...] | None:
     p = len(plan)
     if p > host.n:
         return None
-    hadj = host.adj
-    band = _bands(host, p, induced)
-    mapping = [0] * p
-
-    def extend(i: int, used: int) -> bool:
-        if i == p:
-            return True
-        q, degree, placed, apart, above = plan[i]
-        cand = band[degree] & ~used
-        for r in placed:
-            cand &= hadj[mapping[r]]
-        for r in apart:
-            cand &= ~hadj[mapping[r]]
-        if above >= 0:
-            cand &= -2 << mapping[above]
-        while cand:
-            b = cand & -cand
-            cand ^= b
-            mapping[q] = b.bit_length() - 1
-            if extend(i + 1, used | b):
-                return True
-        return False
-
-    return tuple(mapping) if extend(0, 0) else None
+    return _kernel(plan)(host.adj, _bands(host, p, induced))
 
 
 def _embeds(G: Graph, P: Pattern, induced: bool) -> bool:

@@ -146,3 +146,15 @@ def test_single_process_commands_load_no_pool_modules():
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_imports_compile_no_search_kernel():
+    # pattern-search kernels are compiled on first use, never at import, so
+    # importing the CLI and the sweeps adds no set-up time
+    code = ("import domiperf.cli, domiperf.enumeration; from domiperf import patterns; "
+            "print(patterns._kernel.cache_info().currsize)")
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    ).stdout
+    assert out.strip() == "0"

@@ -235,6 +235,33 @@ def test_forests_walk_no_component_for_alpha(monkeypatch):
     assert calls[0] == 0
 
 
+def test_isolated_vertices_walk_no_component_for_i(monkeypatch):
+    # an isolated vertex lies in every maximal independent set, and the
+    # smallest-set search takes it before it walks any component
+    calls = _count_unions(monkeypatch)
+    edgeless = build_graph(MAX_ORDER, [])
+    assert independent_domination_number(edgeless) == (MAX_ORDER, frozenset(range(MAX_ORDER)))
+    assert calls[0] == 0
+
+
+@st.composite
+def _with_isolated_vertices(draw):
+    """A graph of order 1..7 and 1..3 isolated vertices, interleaved."""
+    g = draw(graphs(min_n=1, max_n=7))
+    n = g.n + draw(st.integers(1, 3))
+    perm = draw(st.permutations(range(n)))
+    return build_graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+@given(_with_isolated_vertices())
+@settings(max_examples=40, deadline=None)
+def test_i_with_isolated_vertices_matches_oracle(g):
+    ind_dom, witness = independent_domination_number(g)
+    assert ind_dom == brute_independent_domination(g)
+    assert sorted(witness) == _first_set(
+        g, ind_dom, lambda c: g.is_dominating(c) and g.is_independent(c))
+
+
 @st.composite
 def _cycles_and_tree(draw):
     """One or two cycles of order 3..5 and a tree of order 1..4, interleaved."""

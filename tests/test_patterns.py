@@ -5,10 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs
-from domiperf.graph import build_graph, complete_graph, cycle_graph, path_graph, star_graph
+from domiperf.graph import GraphError, build_graph, complete_graph, cycle_graph, path_graph, star_graph
 from domiperf.graph_classes import corona_k1, line_graph
 from domiperf.patterns import (
     FORBIDDEN_NAMES,
+    MAX_PATTERN_ORDER,
     Pattern,
     _bands,
     _plan,
@@ -379,6 +380,19 @@ def test_induced_band_reaches_n_minus_p_above_the_degree():
     narrow = list(band)
     narrow[2] &= ~(1 << centre)
     assert _band_misses(host, pat, True, narrow) == [(1, centre)]
+
+
+def test_pattern_order_cap():
+    # a search kernel nests one loop per pattern vertex, and CPython compiles
+    # at most 20 nested blocks: P20 is still found, P21 is refused by name
+    assert MAX_PATTERN_ORDER == 20
+    host = path_graph(22)
+    emb = find_induced(host, Pattern("P20", path_graph(20)))
+    assert emb is not None and emb.mapping == tuple(range(20))
+    assert contains_subgraph(host, Pattern("P20", path_graph(20)))
+    for search in (find_induced, contains_subgraph):
+        with pytest.raises(GraphError, match="MAX_PATTERN_ORDER"):
+            search(host, Pattern("P21", path_graph(21)))
 
 
 def test_induced_monotone_under_extra_vertices():
