@@ -3,11 +3,12 @@
 One JSON record per input graph on stdout; witness vertex sets use 1-based
 labels matching the edge-list convention.  Exit codes: 0 success/verified,
 1 a property fails or a counterexample exists, 2 usage or parse errors.
-``classify`` maps its records, and ``verify`` its sweeps, over a process pool
-of one worker per CPU; DOMIPERF_WORKERS, a positive integer, caps that count.
-A verify report's ``elapsed_seconds`` is the sum of its suite's own sweep
-times, wherever they ran.  ``compute`` is cheaper per graph than the pool's
-overhead and ``search-minimal`` is a single search; both run in this process.
+``compute``, ``classify`` and ``construct`` map their records, and ``verify``
+its sweeps, over a process pool of one worker per CPU; DOMIPERF_WORKERS, a
+positive integer, caps that count.  Records go to the pool in chunks, about
+four per worker; sweeps go one at a time, heaviest first.  A verify report's
+``elapsed_seconds`` is the sum of its suite's own sweep times, wherever they
+ran.  ``search-minimal`` is a single search and runs in this process.
 """
 
 from __future__ import annotations
@@ -77,7 +78,13 @@ def _order(text: str) -> int:
 
 def _pool_map(fn: Callable, items: Sequence, workers: int) -> Iterator:
     """fn over items, results in input order; on a process pool if ``workers`` > 1 and
-    there are at least two items."""
+    there are at least two items.
+
+    The pool takes the items in chunks of ceil(len / (4 * workers)): few enough
+    round trips that a cheap item does not pay the pool's cost alone, and
+    enough chunks to keep every worker busy.  A handful of items, such as
+    ``verify``'s sweeps, goes one at a time, in the order given.
+    """
     if not (workers > 1 and len(items) > 1):
         yield from map(fn, items)
         return
@@ -85,26 +92,33 @@ def _pool_map(fn: Callable, items: Sequence, workers: int) -> Iterator:
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(fn, items)
+        yield from pool.map(fn, items, chunksize=-(-len(items) // (4 * workers)))
 
 
-def _map_records(
-    fn: Callable, located: Sequence[tuple[str, GraphRecord]], workers: int = 1
-) -> list:
+def _or_error(fn: Callable, rec: GraphRecord):
+    """fn(rec), or the GraphError it raises as a value: a pool chunk that raised
+    would take the results of the records before the failing one with it."""
+    try:
+        return fn(rec)
+    except GraphError as exc:
+        return exc
+
+
+def _map_records(fn: Callable, located: Sequence[tuple[str, GraphRecord]], workers: int) -> list:
     """fn over each record in input order, on a process pool if ``workers`` > 1.
 
-    Results arrive in input order, so an error belongs to the record after the
-    last result; it is re-raised naming that record's file and line.
+    The first error in input order is re-raised naming its record's file and line.
     """
     records = [rec for _, rec in located]
-    results: list = []
-    try:
-        for result in _pool_map(fn, records, workers if len(records) >= 2 * workers else 1):
-            results.append(result)
-    except GraphError as exc:
-        path, rec = located[len(results)]
-        where = f"{path}: line {rec.line_number}" if path else f"line {rec.line_number}"
-        raise GraphError(f"{where}: {exc}") from exc
+    mapped = _pool_map(
+        partial(_or_error, fn), records, workers if len(records) >= 2 * workers else 1
+    )
+    results = []
+    for (path, rec), result in zip(located, mapped):
+        if isinstance(result, GraphError):
+            where = f"{path}: line {rec.line_number}" if path else f"line {rec.line_number}"
+            raise GraphError(f"{where}: {result}") from result
+        results.append(result)
     return results
 
 
@@ -175,7 +189,7 @@ def _verdict_json(rec: GraphRecord, verdict: PerfectionVerdict) -> dict:
 
 
 def cmd_compute(args) -> int:
-    _emit(_map_records(_compute_record, _read_records(args)), args.output)
+    _emit(_map_records(_compute_record, _read_records(args), _worker_count()), args.output)
     return EXIT_OK
 
 
@@ -206,9 +220,16 @@ def cmd_search_minimal(args) -> int:
     return EXIT_OK
 
 
+def _construct_record(rec: GraphRecord, construction: str) -> str:
+    return emit_graph6(_CONSTRUCTIONS[construction](rec.graph))
+
+
 def cmd_construct(args) -> int:
-    build = _CONSTRUCTIONS[args.construction]
-    results = _map_records(lambda rec: emit_graph6(build(rec.graph)), _read_records(args))
+    results = _map_records(
+        partial(_construct_record, construction=args.construction),
+        _read_records(args),
+        _worker_count(),
+    )
     _emit(results, args.output)
     return EXIT_OK
 

@@ -1,8 +1,10 @@
 import io
 import json
+import random
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from itertools import combinations
 
 import pytest
 
@@ -114,21 +116,32 @@ def test_order_is_ascii_digits(capsys, command, order):
     assert "argument --order" in capsys.readouterr().err
 
 
-def test_verify_on_two_workers_matches_one(capsys, monkeypatch):
-    code, serial, _ = _run(capsys, ["verify", "--order", "6", "--suite", "all"])
-    pools = []
+def _two_workers(monkeypatch) -> list[tuple[int, int]]:
+    """Two workers on two CPUs; the returned list gets (workers, chunksize) of each pool map."""
+    maps = []
 
-    class CountedPool(ProcessPoolExecutor):
+    class RecordedPool(ProcessPoolExecutor):
         def __init__(self, max_workers):
-            pools.append(max_workers)
             super().__init__(max_workers=max_workers)
+            self.workers = max_workers
+
+        def map(self, fn, *iterables, timeout=None, chunksize=1):
+            maps.append((self.workers, chunksize))
+            return super().map(fn, *iterables, timeout=timeout, chunksize=chunksize)
 
     monkeypatch.setenv("DOMIPERF_WORKERS", "2")
     monkeypatch.setattr("os.cpu_count", lambda: 2)
     # the CLI imports the pool class when it starts a pool, so patch it at its source
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordedPool)
+    return maps
+
+
+def test_verify_on_two_workers_matches_one(capsys, monkeypatch):
+    code, serial, _ = _run(capsys, ["verify", "--order", "6", "--suite", "all"])
+    maps = _two_workers(monkeypatch)
     pooled_code, pooled, _ = _run(capsys, ["verify", "--order", "6", "--suite", "all"])
-    assert pools == [2]
+    # one pool; its sweeps go one at a time, so the heaviest starts first
+    assert maps == [(2, 1)]
 
     def timeless(out):
         return re.sub(r'"elapsed_seconds": [0-9.e-]+', '"elapsed_seconds": 0', out)
@@ -232,16 +245,47 @@ def test_computation_error_names_line_on_stdin(capsys, monkeypatch):
 
 
 def test_pool_error_names_file_and_line(tmp_path, capsys, monkeypatch):
-    # two workers over five records: the pool path, not the in-process one
-    monkeypatch.setenv("DOMIPERF_WORKERS", "2")
-    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    # two workers take 40 records in chunks of 5: line 27 is the second record of
+    # the chunk of lines 26..30, and the bad record at line 34 comes after it
+    maps = _two_workers(monkeypatch)
     src = tmp_path / "in.g6"
-    tokens = [emit_graph6(path_graph(n)) for n in (2, 3, 4)]
-    tokens[2:2] = [emit_graph6(build_graph(MAX_SWEEP_ORDER + 1, []))] * 2
-    src.write_text("".join(t + "\n" for t in tokens))
-    code, out, err = _run(capsys, ["classify", "--method", "gamma2", str(src)])
-    assert (code, out) == (2, "")
-    assert f"{src}: line 3: order {MAX_SWEEP_ORDER + 1}" in err
+    for argv, bad, message in [
+        (
+            ["classify", "--method", "gamma2"],
+            emit_graph6(build_graph(MAX_SWEEP_ORDER + 1, [])),
+            f"order {MAX_SWEEP_ORDER + 1} exceeds the subset-sweep cap {MAX_SWEEP_ORDER}",
+        ),
+        (["compute"], "?", "parameter profile undefined on the empty graph"),
+    ]:
+        tokens = [emit_graph6(path_graph(2 + k % 5)) for k in range(40)]
+        tokens[26] = tokens[33] = bad
+        src.write_text("".join(t + "\n" for t in tokens))
+        code, out, err = _run(capsys, [*argv, str(src)])
+        assert (code, out) == (2, "")
+        assert err == f"domiperf: {src}: line 27: {message}\n"
+    assert maps == [(2, 5), (2, 5)]
+
+
+def test_pooled_records_match_serial(tmp_path, capsys, monkeypatch):
+    # 64 records of orders 4..8, imperfect ones among them, in chunks of 8
+    rng = random.Random(7)
+    graphs = [
+        build_graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.5])
+        for n in (4 + k % 5 for k in range(64))
+    ]
+    src = tmp_path / "in.g6"
+    src.write_text("".join(emit_graph6(G) + "\n" for G in graphs))
+    commands = [
+        ["compute"],
+        *(["classify", "--method", method] for method in ("definition", "gamma2", "theorem")),
+        ["construct", "--construction", "line"],
+    ]
+    serial = [_run(capsys, [*argv, str(src)]) for argv in commands]
+    maps = _two_workers(monkeypatch)
+    pooled = [_run(capsys, [*argv, str(src)]) for argv in commands]
+    assert pooled == serial
+    assert [code for code, _, _ in serial] == [0, 1, 1, 1, 0]
+    assert maps == [(2, 8)] * len(commands)
 
 
 @pytest.mark.parametrize("fmt, text", [("graph6", "?\n"), ("edges", "0\n")])
@@ -479,9 +523,10 @@ def test_bad_workers_env_exits_two(tmp_path, capsys, monkeypatch, value):
     monkeypatch.setenv("DOMIPERF_WORKERS", value)
     src = tmp_path / "in.g6"
     src.write_text("@\n")
-    code, _, err = _run(capsys, ["classify", str(src)])
-    assert code == 2
-    assert "DOMIPERF_WORKERS" in err
+    for argv in (["compute"], ["classify"], ["construct", "--construction", "line"]):
+        code, out, err = _run(capsys, [*argv, str(src)])
+        assert (code, out) == (2, "")
+        assert "DOMIPERF_WORKERS" in err
     # verify resolves the worker count before its first sweep
     monkeypatch.setattr(enumeration, "run_sweep", lambda *a, **k: pytest.fail("a sweep ran"))
     code, out, err = _run(capsys, ["verify", "--order", "3"])

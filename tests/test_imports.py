@@ -136,8 +136,8 @@ def test_brute_oracles_stay_naive():
 
 
 def test_single_process_commands_load_no_pool_modules():
-    # compute and search-minimal run in-process: importing the CLI and the
-    # sweeps must not pay for concurrent.futures and multiprocessing
+    # the pool's modules load only when a command starts a pool: importing the
+    # CLI and the sweeps must not pay for concurrent.futures and multiprocessing
     code = ("import sys, domiperf.cli, domiperf.enumeration; "
             "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
             "if m in sys.modules))")
