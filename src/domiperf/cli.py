@@ -6,9 +6,11 @@ labels matching the edge-list convention.  Exit codes: 0 success/verified,
 ``compute``, ``classify`` and ``construct`` map their records, and ``verify``
 its sweeps, over a process pool of one worker per CPU; DOMIPERF_WORKERS, a
 positive integer, caps that count.  Records go to the pool in chunks, about
-four per worker; sweeps go one at a time, heaviest first.  A verify report's
-``elapsed_seconds`` is the sum of its suite's own sweep times, wherever they
-ran.  ``search-minimal`` is a single search and runs in this process.
+four per worker; sweeps go one at a time, heaviest first.  The first record
+in input order that fails stops the pool at once, and no record is printed.
+A verify report's ``elapsed_seconds`` is the sum of its suite's own sweep
+times, wherever they ran.  ``search-minimal`` is a single search and runs in
+this process.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import os
 import sys
 from contextlib import nullcontext
 from functools import partial
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from domiperf.enumeration import SUITES, verify_suites
 from domiperf.formats import FormatError, GraphRecord, emit_graph6, parse_count, read_records
@@ -76,50 +78,42 @@ def _order(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an order: {text!r}") from None
 
 
-def _pool_map(fn: Callable, items: Sequence, workers: int) -> Iterator:
+def _pool_map(fn: Callable, items: Sequence, workers: int) -> list:
     """fn over items, results in input order; on a process pool if ``workers`` > 1 and
     there are at least two items.
 
     The pool takes the items in chunks of ceil(len / (4 * workers)): few enough
     round trips that a cheap item does not pay the pool's cost alone, and
     enough chunks to keep every worker busy.  A handful of items, such as
-    ``verify``'s sweeps, goes one at a time, in the order given.
+    ``verify``'s sweeps, goes one at a time, in the order given.  ``imap``
+    raises the first error in input order once the chunks before it are back
+    (``Pool.map`` would wait for every chunk), and leaving the block
+    terminates every worker.
     """
     if not (workers > 1 and len(items) > 1):
-        yield from map(fn, items)
-        return
+        return list(map(fn, items))
     # imported here: the single-process commands never load the pool's modules
-    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import Pool
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(fn, items, chunksize=-(-len(items) // (4 * workers)))
+    with Pool(workers) as pool:
+        return list(pool.imap(fn, items, chunksize=-(-len(items) // (4 * workers))))
 
 
-def _or_error(fn: Callable, rec: GraphRecord):
-    """fn(rec), or the GraphError it raises as a value: a pool chunk that raised
-    would take the results of the records before the failing one with it."""
+def _located(fn: Callable, located: tuple[str, GraphRecord]):
+    """fn(rec) of a (file, record) pair; a GraphError names the record's file and line."""
+    path, rec = located
     try:
         return fn(rec)
     except GraphError as exc:
-        return exc
+        where = f"{path}: line {rec.line_number}" if path else f"line {rec.line_number}"
+        raise GraphError(f"{where}: {exc}") from exc
 
 
 def _map_records(fn: Callable, located: Sequence[tuple[str, GraphRecord]], workers: int) -> list:
-    """fn over each record in input order, on a process pool if ``workers`` > 1.
-
-    The first error in input order is re-raised naming its record's file and line.
-    """
-    records = [rec for _, rec in located]
-    mapped = _pool_map(
-        partial(_or_error, fn), records, workers if len(records) >= 2 * workers else 1
+    """fn over each record in input order, on a process pool if ``workers`` > 1."""
+    return _pool_map(
+        partial(_located, fn), located, workers if len(located) >= 2 * workers else 1
     )
-    results = []
-    for (path, rec), result in zip(located, mapped):
-        if isinstance(result, GraphError):
-            where = f"{path}: line {rec.line_number}" if path else f"line {rec.line_number}"
-            raise GraphError(f"{where}: {result}") from result
-        results.append(result)
-    return results
 
 
 def _read_records(args) -> list[tuple[str, GraphRecord]]:

@@ -300,8 +300,7 @@ def verify_suites(
     _check_order(order_max)
     wanted = {sweep for suite in suites for sweep in SUITES[suite][1]}
     sweeps = [sweep for sweep in DISPATCH if sweep in wanted]
-    # list() reads every result, so a pool's map runs to its end here
-    done = dict(zip(sweeps, list(mapper(partial(run_sweep, order_max=order_max), sweeps))))
+    done = dict(zip(sweeps, mapper(partial(run_sweep, order_max=order_max), sweeps)))
     return [merge_reports(label.format(order_max), [done[s] for s in parts])
             for label, parts in (SUITES[suite] for suite in suites)]
 

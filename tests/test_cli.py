@@ -1,15 +1,16 @@
 import io
 import json
+import multiprocessing.pool
 import random
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
+import time
 from itertools import combinations
 
 import pytest
 
 from conftest import pattern_graph
-from domiperf import enumeration
+from domiperf import cli, enumeration
 from domiperf.cli import _worker_count, main
 from domiperf.enumeration import MAX_ENUM_ORDER, canonical_form
 from domiperf.formats import emit_graph6, parse_graph6
@@ -120,20 +121,29 @@ def _two_workers(monkeypatch) -> list[tuple[int, int]]:
     """Two workers on two CPUs; the returned list gets (workers, chunksize) of each pool map."""
     maps = []
 
-    class RecordedPool(ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            super().__init__(max_workers=max_workers)
-            self.workers = max_workers
-
-        def map(self, fn, *iterables, timeout=None, chunksize=1):
-            maps.append((self.workers, chunksize))
-            return super().map(fn, *iterables, timeout=timeout, chunksize=chunksize)
+    class RecordedPool(multiprocessing.pool.Pool):
+        def imap(self, func, iterable, chunksize=1):
+            maps.append((self._processes, chunksize))
+            return super().imap(func, iterable, chunksize)
 
     monkeypatch.setenv("DOMIPERF_WORKERS", "2")
     monkeypatch.setattr("os.cpu_count", lambda: 2)
     # the CLI imports the pool class when it starts a pool, so patch it at its source
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordedPool)
+    monkeypatch.setattr("multiprocessing.Pool", RecordedPool)
     return maps
+
+
+def _slow_gamma2(monkeypatch, order):
+    """``classify --method gamma2`` sleeps 0.5 s before each graph of ``order``;
+    the pool's forked workers inherit the patch."""
+    real = cli._METHODS["gamma2"]
+
+    def gamma2(G):
+        if G.n == order:
+            time.sleep(0.5)
+        return real(G)
+
+    monkeypatch.setitem(cli._METHODS, "gamma2", gamma2)
 
 
 def test_verify_on_two_workers_matches_one(capsys, monkeypatch):
@@ -246,8 +256,11 @@ def test_computation_error_names_line_on_stdin(capsys, monkeypatch):
 
 def test_pool_error_names_file_and_line(tmp_path, capsys, monkeypatch):
     # two workers take 40 records in chunks of 5: line 27 is the second record of
-    # the chunk of lines 26..30, and the bad record at line 34 comes after it
+    # the chunk of lines 26..30, and the bad record at line 34 comes after it.
+    # Under gamma2 the order-7 graph at line 26 sleeps first, so the error at
+    # line 34 comes back first and must still not be the one named
     maps = _two_workers(monkeypatch)
+    _slow_gamma2(monkeypatch, 7)
     src = tmp_path / "in.g6"
     for argv, bad, message in [
         (
@@ -258,12 +271,33 @@ def test_pool_error_names_file_and_line(tmp_path, capsys, monkeypatch):
         (["compute"], "?", "parameter profile undefined on the empty graph"),
     ]:
         tokens = [emit_graph6(path_graph(2 + k % 5)) for k in range(40)]
+        tokens[25] = emit_graph6(path_graph(7))
         tokens[26] = tokens[33] = bad
         src.write_text("".join(t + "\n" for t in tokens))
         code, out, err = _run(capsys, [*argv, str(src)])
         assert (code, out) == (2, "")
         assert err == f"domiperf: {src}: line 27: {message}\n"
     assert maps == [(2, 5), (2, 5)]
+
+
+def test_pool_stops_at_first_bad_record(tmp_path, capsys, monkeypatch):
+    # 40 records in chunks of 5 on two workers; line 1 fails at once, and every
+    # other record sleeps 0.5 s, so finishing the chunks already handed out
+    # would take 2 s or more
+    maps = _two_workers(monkeypatch)
+    _slow_gamma2(monkeypatch, 3)
+    tokens = [emit_graph6(path_graph(2 + k % 2)) for k in range(40)]
+    tokens[0] = emit_graph6(build_graph(MAX_SWEEP_ORDER + 1, []))
+    src = tmp_path / "in.g6"
+    src.write_text("".join(t + "\n" for t in tokens))
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["classify", "--method", "gamma2", str(src)])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == (f"domiperf: {src}: line 1: order {MAX_SWEEP_ORDER + 1} "
+                   f"exceeds the subset-sweep cap {MAX_SWEEP_ORDER}\n")
+    assert maps == [(2, 5)]
+    assert multiprocessing.active_children() == []
 
 
 def test_pooled_records_match_serial(tmp_path, capsys, monkeypatch):
@@ -286,6 +320,7 @@ def test_pooled_records_match_serial(tmp_path, capsys, monkeypatch):
     assert pooled == serial
     assert [code for code, _, _ in serial] == [0, 1, 1, 1, 0]
     assert maps == [(2, 8)] * len(commands)
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("fmt, text", [("graph6", "?\n"), ("edges", "0\n")])

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from typing import Callable, Iterable
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
@@ -12,17 +13,27 @@ MODULES = sorted(
 )
 
 
-def _unused_imports(tree: ast.Module) -> list[str]:
-    """Names bound by a top-level import that the module never reads."""
+def _imported(nodes: Iterable[ast.AST]) -> dict[str, int]:
+    """Each name that an import among ``nodes`` binds, with the import's line."""
     bound = {}
-    for node in tree.body:
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 bound[alias.asname or alias.name.split(".")[0]] = node.lineno
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 bound[alias.asname or alias.name] = node.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return bound
+
+
+def _read_names(tree: ast.AST) -> set[str]:
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by a top-level import that the module never reads."""
+    bound = _imported(tree.body)
+    used = _read_names(tree)
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
@@ -31,13 +42,33 @@ def _unused_imports(tree: ast.Module) -> list[str]:
     return [f"{name} (line {line})" for name, line in bound.items() if name not in used]
 
 
-def test_no_unused_top_level_imports():
+def _found_in_modules(check: Callable[[ast.Module], list[str]]) -> dict[str, list[str]]:
+    """What ``check`` reports for each module that it reports anything for."""
     found = {}
     for path in MODULES:
-        unused = _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+        unused = check(ast.parse(path.read_text(encoding="utf-8")))
         if unused:
             found[str(path.relative_to(ROOT))] = unused
-    assert found == {}
+    return found
+
+
+def test_no_unused_top_level_imports():
+    assert _found_in_modules(_unused_imports) == {}
+
+
+def _unused_function_imports(tree: ast.Module) -> list[str]:
+    """Names bound by an import inside a function that the function never reads."""
+    return [
+        f"{name} (line {line})"
+        for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for name, line in _imported(ast.walk(fn)).items() if name not in _read_names(fn)
+    ]
+
+
+def test_no_unused_function_imports():
+    # a lazy import, such as the CLI's pool, is read by the function that makes it
+    assert _found_in_modules(_unused_function_imports) == {}
+    assert _unused_function_imports(ast.parse("def f():\n    import os\n")) == ["os (line 2)"]
 
 
 def test_library_imports_only_the_standard_library():
