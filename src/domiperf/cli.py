@@ -1,8 +1,11 @@
 """Batch command-line front end.
 
-One JSON record per input graph on stdout; witness vertex sets use 1-based
-labels matching the edge-list convention.  Exit codes: 0 success/verified,
-1 a property fails or a counterexample exists, 2 usage or parse errors.
+One JSON record per input graph, on stdout or in the ``--output`` file that
+every command takes; witness vertex sets use 1-based labels matching the
+edge-list convention.  Each ``cmd_*`` returns its records as (line, passed)
+pairs, and ``main`` alone writes them and decides the exit code: 0 when
+every record passed, 1 when a property fails or a counterexample exists,
+2 on a usage, parse or computation error, in which case nothing is written.
 ``compute``, ``classify`` and ``construct`` map their records, and ``verify``
 its sweeps, over a process pool of one worker per CPU; DOMIPERF_WORKERS, a
 positive integer, caps that count.  Records go to the pool in chunks, about
@@ -109,8 +112,11 @@ def _located(fn: Callable, located: tuple[str, GraphRecord]):
         raise GraphError(f"{where}: {exc}") from exc
 
 
-def _map_records(fn: Callable, located: Sequence[tuple[str, GraphRecord]], workers: int) -> list:
-    """fn over each record in input order, on a process pool if ``workers`` > 1."""
+def _map_records(fn: Callable, args) -> list:
+    """fn over each input record in input order; on a process pool only when
+    there are at least two records per worker."""
+    located = _read_records(args)
+    workers = _worker_count()
     return _pool_map(
         partial(_located, fn), located, workers if len(located) >= 2 * workers else 1
     )
@@ -133,31 +139,23 @@ def _one_based(S: Iterable[int]) -> list[int]:
     return sorted(v + 1 for v in S)
 
 
-def _emit(lines: Iterable[str], output: str | None) -> None:
-    with open(output, "w", encoding="utf-8") if output else nullcontext(sys.stdout) as stream:
-        for line in lines:
-            stream.write(line + "\n")
-
-
-def _compute_record(rec: GraphRecord) -> str:
+def _compute_record(rec: GraphRecord) -> tuple[str, bool]:
     G = rec.graph
     profile = parameter_profile(G)
-    return json.dumps(
-        {
-            "line": rec.line_number,
-            "token": emit_graph6(G),
-            "n": G.n,
-            "m": G.m,
-            "gamma": profile.gamma,
-            "i": profile.ind_dom,
-            "alpha_c": profile.common_ind,
-            "alpha": profile.ind,
-            "witness_gamma": _one_based(profile.witness_gamma),
-            "witness_i": _one_based(profile.witness_ind_dom),
-            "witness_alpha": _one_based(profile.witness_ind),
-        },
-        sort_keys=True,
-    )
+    record = {
+        "line": rec.line_number,
+        "token": emit_graph6(G),
+        "n": G.n,
+        "m": G.m,
+        "gamma": profile.gamma,
+        "i": profile.ind_dom,
+        "alpha_c": profile.common_ind,
+        "alpha": profile.ind,
+        "witness_gamma": _one_based(profile.witness_gamma),
+        "witness_i": _one_based(profile.witness_ind_dom),
+        "witness_alpha": _one_based(profile.witness_ind),
+    }
+    return json.dumps(record, sort_keys=True), True
 
 
 def _verdict_json(rec: GraphRecord, verdict: PerfectionVerdict) -> dict:
@@ -182,56 +180,40 @@ def _verdict_json(rec: GraphRecord, verdict: PerfectionVerdict) -> dict:
     return out
 
 
-def cmd_compute(args) -> int:
-    _emit(_map_records(_compute_record, _read_records(args), _worker_count()), args.output)
-    return EXIT_OK
-
-
 def _classify_record(rec: GraphRecord, method: str) -> tuple[str, bool]:
     verdict = _METHODS[method](rec.graph)
     return json.dumps(_verdict_json(rec, verdict), sort_keys=True), verdict.perfect
 
 
-def cmd_classify(args) -> int:
-    results = _map_records(
-        partial(_classify_record, method=args.method), _read_records(args), _worker_count()
-    )
-    _emit((line for line, _ in results), args.output)
-    return EXIT_OK if all(ok for _, ok in results) else EXIT_NEGATIVE
+def _construct_record(rec: GraphRecord, construction: str) -> tuple[str, bool]:
+    return emit_graph6(_CONSTRUCTIONS[construction](rec.graph)), True
 
 
-def cmd_verify(args) -> int:
+def cmd_compute(args) -> list[tuple[str, bool]]:
+    return _map_records(_compute_record, args)
+
+
+def cmd_classify(args) -> list[tuple[str, bool]]:
+    return _map_records(partial(_classify_record, method=args.method), args)
+
+
+def cmd_verify(args) -> list[tuple[str, bool]]:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     mapper = partial(_pool_map, workers=_worker_count())
-    reports = verify_suites(names, args.order, mapper)
-    _emit((r.to_json() for r in reports), args.output)
-    return EXIT_OK if all(r.clean for r in reports) else EXIT_NEGATIVE
+    return [(r.to_json(), r.clean) for r in verify_suites(names, args.order, mapper)]
 
 
-def cmd_search_minimal(args) -> int:
-    found = search_minimal_imperfect(args.order)
-    _emit((emit_graph6(G) for G in found), args.output)
-    return EXIT_OK
+def cmd_search_minimal(args) -> list[tuple[str, bool]]:
+    return [(emit_graph6(G), True) for G in search_minimal_imperfect(args.order)]
 
 
-def _construct_record(rec: GraphRecord, construction: str) -> str:
-    return emit_graph6(_CONSTRUCTIONS[construction](rec.graph))
-
-
-def cmd_construct(args) -> int:
-    results = _map_records(
-        partial(_construct_record, construction=args.construction),
-        _read_records(args),
-        _worker_count(),
-    )
-    _emit(results, args.output)
-    return EXIT_OK
+def cmd_construct(args) -> list[tuple[str, bool]]:
+    return _map_records(partial(_construct_record, construction=args.construction), args)
 
 
 def _add_io_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("files", nargs="*", help="input files (default: stdin)")
     p.add_argument("--format", choices=("graph6", "edges"), default="graph6")
-    p.add_argument("--output", default=None, help="write records to a file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -253,32 +235,35 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exhaustive verification over a universe")
     p.add_argument("--order", type=_order, required=True)
     p.add_argument("--suite", choices=(*SUITES, "all"), default="all")
-    p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("search-minimal", help="minimal imperfect graphs of one order")
     p.add_argument("--order", type=_order, required=True)
-    p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_search_minimal)
 
     p = sub.add_parser("construct", help="derived graph per input graph")
     _add_io_arguments(p)
-    p.add_argument(
-        "--construction", choices=tuple(_CONSTRUCTIONS), required=True
-    )
+    p.add_argument("--construction", choices=tuple(_CONSTRUCTIONS), required=True)
     p.set_defaults(func=cmd_construct)
 
+    for p in sub.choices.values():
+        p.add_argument("--output", default=None, help="write records to a file")
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command, write its records to ``--output`` or stdout, return the exit status."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        records = args.func(args)
+        out = args.output
+        with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as stream:
+            for line, _ in records:
+                stream.write(line + "\n")
     except (FormatError, GraphError, OSError) as exc:
         print(f"domiperf: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_OK if all(passed for _, passed in records) else EXIT_NEGATIVE
 
 
 if __name__ == "__main__":

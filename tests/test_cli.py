@@ -146,23 +146,23 @@ def _slow_gamma2(monkeypatch, order):
     monkeypatch.setitem(cli._METHODS, "gamma2", gamma2)
 
 
+def _timeless(out: str) -> str:
+    return re.sub(r'"elapsed_seconds": [0-9.e-]+', '"elapsed_seconds": 0', out)
+
+
 def test_verify_on_two_workers_matches_one(capsys, monkeypatch):
     code, serial, _ = _run(capsys, ["verify", "--order", "6", "--suite", "all"])
     maps = _two_workers(monkeypatch)
     pooled_code, pooled, _ = _run(capsys, ["verify", "--order", "6", "--suite", "all"])
     # one pool; its sweeps go one at a time, so the heaviest starts first
     assert maps == [(2, 1)]
-
-    def timeless(out):
-        return re.sub(r'"elapsed_seconds": [0-9.e-]+', '"elapsed_seconds": 0', out)
-
     assert code == pooled_code == 0
     assert [json.loads(line)["universe"] for line in serial.splitlines()] == [
         "all graphs, orders 1..6",
         "all graphs, orders 1..6",
         "corollary sweeps: trees<=12, classes<=6, line hosts<=7, middle hosts<=5",
     ]
-    assert timeless(pooled) == timeless(serial)
+    assert _timeless(pooled) == _timeless(serial)
 
 
 def _flip_theorem(monkeypatch, target):
@@ -402,6 +402,33 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(dst.read_text())["n"] == 1
 
 
+@pytest.mark.parametrize(
+    "argv, graphs, expected",
+    [
+        (["compute"], [cycle_graph(6), path_graph(1)], 0),
+        (["classify"], [complete_graph(4), path_graph(6)], 1),
+        (["verify", "--order", "4", "--suite", "theorem"], [], 1),
+        (["search-minimal", "--order", "6"], [], 0),
+        (["construct", "--construction", "line"], [complete_graph(3), path_graph(4)], 0),
+    ],
+    ids=["compute", "classify", "verify", "search-minimal", "construct"],
+)
+def test_output_file_matches_stdout(tmp_path, capsys, monkeypatch, argv, graphs, expected):
+    # --output holds the bytes stdout would get, with the same exit code; P6
+    # is imperfect, and verify's theorem sweep is broken on the edgeless
+    # graph of order 4, as in test_verify_counterexample_exits_one
+    _flip_theorem(monkeypatch, build_graph(4, []))
+    if graphs:
+        src = tmp_path / "in.g6"
+        src.write_text("".join(emit_graph6(G) + "\n" for G in graphs))
+        argv = [*argv, str(src)]
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (expected, "") and out
+    dst = tmp_path / "out"
+    assert _run(capsys, [*argv, "--output", str(dst)]) == (expected, "", "")
+    assert _timeless(dst.read_text(encoding="utf-8")) == _timeless(out)
+
+
 def test_parse_error_exits_two(tmp_path, capsys):
     src = tmp_path / "bad.g6"
     src.write_text("E?\n")
@@ -571,7 +598,8 @@ def test_bad_workers_env_exits_two(tmp_path, capsys, monkeypatch, value):
 
 @pytest.mark.parametrize(
     "value, cpus, expected",
-    [(None, 8, 8), ("4096", 8, 8), ("3", 8, 3), ("8", 8, 8), ("2", None, 1)],
+    # an empty value reads as unset
+    [(None, 8, 8), ("", 8, 8), ("4096", 8, 8), ("3", 8, 3), ("8", 8, 8), ("2", None, 1)],
 )
 def test_worker_count_is_capped_at_cpu_count(monkeypatch, value, cpus, expected):
     # resolved only, never used: no pool is started here

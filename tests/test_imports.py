@@ -101,6 +101,33 @@ def test_no_private_names_imported_across_modules():
     assert found == set()
 
 
+EXIT_CODES = {"EXIT_OK", "EXIT_NEGATIVE", "EXIT_USAGE"}
+
+
+def _exit_code_reads(tree: ast.AST) -> list[ast.AST]:
+    """Nodes that read one of the CLI's exit codes, by name or as an attribute."""
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in EXIT_CODES
+        or isinstance(node, ast.Attribute) and node.attr in EXIT_CODES
+    ]
+
+
+def test_exit_codes_are_read_only_in_cli_main():
+    # the commands return records; cli.main alone turns them into an exit code
+    cli = ROOT / "src" / "domiperf" / "cli.py"
+    in_main, found = set(), []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path == cli:
+            main = next(fn for fn in tree.body if getattr(fn, "name", None) == "main")
+            in_main = set(_exit_code_reads(main))
+        found += [f"{path.relative_to(ROOT)}: line {node.lineno}"
+                  for node in _exit_code_reads(tree) if node not in in_main]
+    assert in_main and found == []
+    assert len(_exit_code_reads(ast.parse("def f():\n    return cli.EXIT_OK, EXIT_USAGE\n"))) == 2
+
+
 # Traced names the package no longer defines: a traced run records no spans
 # for them, and the per-layer metrics built from those spans read 0.
 TRACED_BUT_GONE = {
