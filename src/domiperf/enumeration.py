@@ -178,10 +178,12 @@ def _matches_theorem(
     """Check that ``criterion`` on G predicts the theorem route on G (or on ``construct(G)``).
 
     The theorem route's verdict is all a corollary needs: the target is
-    decided H-free or not in ``DECISION_ORDER`` with no witness, where
-    ``perfect_by_theorem`` would also rerun the index-order search on every
-    imperfect target to name the first H of the catalog.  The theorem sweep
-    keeps that route, witness and all, as ``classify --method theorem`` runs it.
+    decided H-free or not in ``DECISION_ORDER`` with no witness, on
+    constraint-first plans.  Index-order plans, as ``perfect_by_theorem``
+    uses, slowed the tree sweep from 0.046 to 0.055 s (medians of 8
+    interleaved rounds); the other corollary sweeps moved within noise.  The
+    theorem sweep keeps that route, witness and all, as ``classify --method
+    theorem`` runs it.
     """
     key = "graph6" if construct is None else "host_graph6"
 
@@ -255,12 +257,12 @@ SUITES = {
 # Every sweep once, heaviest first: workers take them in this order, so the
 # longest ones start at once and the short ones fill in at the end.  Times at
 # order 7 once the universes are built (median of 5, range over three fresh
-# processes, CPython 3.11, 2-core Xeon VM): theorem 0.45-0.76 s, line
-# 0.23-0.40 s, claw-free 0.07-0.12 s, chordal 0.06-0.10 s, chain 0.10-0.17 s,
-# tree 0.10-0.16 s, block 0.03-0.05 s, middle 0.005-0.009 s.  Each worker also
-# builds the universe to order 7 once (0.14-0.26 s), and the trees to order
-# 12 take 0.015-0.03 s.  Moving chain and tree ahead of claw-free and chordal
-# was faster in only 4 of 10 alternating runs of ``verify --order 7``.
+# processes, CPython 3.11, 2-core Xeon VM): theorem 0.45-0.52 s, line
+# 0.14-0.19 s, claw-free 0.04-0.05 s, chordal 0.05-0.06 s, chain 0.11-0.14 s,
+# tree 0.046-0.047 s, block 0.025-0.032 s, middle 0.004-0.005 s.  Each worker
+# also builds the universe to order 7 once (0.15-0.19 s), and the trees to
+# order 12 take 0.017-0.018 s.  Moving chain and tree ahead of claw-free and
+# chordal was faster in only 4 of 10 alternating runs of ``verify --order 7``.
 DISPATCH = (_theorem_sweep, _line_sweep, _claw_free_sweep, _chordal_sweep, _chain_sweep,
             _tree_sweep, _block_sweep, _middle_sweep)
 

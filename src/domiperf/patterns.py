@@ -5,19 +5,19 @@ published drawings.  Utility patterns (claw, paths, a 6-cycle, disjoint path
 pairs) share the same search engine so the class-restricted criteria reuse it.
 
 The search maps pattern vertices one at a time, following a step plan built
-once per pattern, mode and order.  A yes/no answer comes from the
-constraint-first order (next the vertex with the most mapped neighbours).  A
-witness comes from the index order; ``forbidden_free`` reruns it only for the
-first H that embeds.
+per pattern, mode and order, and compiled into the one cache, ``_kernel``.  A
+witness comes from the index order, a yes/no answer from the constraint-first
+order (next the vertex with the most mapped neighbours).
 
 Two kinds of caller read the ten.  The theorem route (``perfect_by_theorem``,
 so ``classify --method theorem`` and the theorem sweep) reports the first H
-of the catalog that embeds and its smallest embedding, so it goes through
-``forbidden_free`` in catalog order.  The corollary sweeps and the tree
+of the catalog that embeds and its smallest embedding, so ``forbidden_free``
+runs ``find_induced`` on each H in catalog order: one search per H, and the
+first hit is both verdict and witness.  The corollary sweeps and the tree
 corollary compare only the verdict, which no order changes, so they call
-``is_pattern_free(G, DECISION_ORDER)``: no witness, and it tries first the
-three members with no induced claw, the only ones that can embed in a line or
-middle graph.
+``is_pattern_free(G, DECISION_ORDER)``: constraint-first plans, and it tries
+first the three members with no induced claw, the only ones that can embed in
+a line or middle graph.
 
 Every plan breaks the pattern's symmetry (Grochow & Kellis, "Network motif
 discovery using subgraph enumeration and symmetry-breaking", RECOMB 2007).
@@ -140,15 +140,8 @@ class _Step(NamedTuple):
     above: int
 
 
-@cache
-def _generators(pattern: Pattern) -> tuple[list[int], ...]:
-    """Generators of the pattern's automorphism group, found once for all its plans."""
-    return tuple(canonical_labeling(pattern.graph.adj)[1])
-
-
-@cache
-def _plan(pattern: Pattern, induced: bool, witness: bool = False) -> tuple[_Step, ...]:
-    """The order in which a search maps the pattern's vertices, built once.
+def _plan(pattern: Pattern, induced: bool, witness: bool) -> tuple[_Step, ...]:
+    """The order in which a search maps the pattern's vertices.
 
     The decision order maps next the vertex with the most mapped neighbours,
     then the higher degree, then the lower index (greatest constraint first:
@@ -179,7 +172,7 @@ def _plan(pattern: Pattern, induced: bool, witness: bool = False) -> tuple[_Step
         order.append(q)
         mapped |= 1 << q
     above: dict[int, int] = {}
-    generators = _generators(pattern)
+    generators = canonical_labeling(padj)[1]
     for r in order:
         for q in bits(orbit_closure(1 << r, generators) & ~(1 << r)):
             above[q] = r
@@ -209,8 +202,9 @@ def _bands(host: Graph, p: int, induced: bool) -> tuple[int, ...]:
 
 
 @cache
-def _kernel(plan: tuple[_Step, ...]) -> Callable[..., tuple[int, ...] | None]:
-    """The plan compiled into nested loops, built on first use.
+def _kernel(pattern: Pattern, induced: bool,
+            witness: bool) -> Callable[..., tuple[int, ...] | None]:
+    """The pattern's plan in this mode compiled into nested loops, built on first use.
 
     ``kernel(hadj, band)`` runs one ``while`` loop per step.  Step i keeps its
     image in the local ``m{q}`` and the host vertices used so far in
@@ -219,6 +213,7 @@ def _kernel(plan: tuple[_Step, ...]) -> Callable[..., tuple[int, ...] | None]:
     and ``& (-2 << m{above})``.  The lowest candidate goes first, so the
     kernel returns the first mapping in plan order, or None.
     """
+    plan = _plan(pattern, induced, witness)
     lines = ["def kernel(hadj, band):"]
     for i, (q, degree, placed, apart, above) in enumerate(plan):
         pad = "    " * (i + 1)
@@ -239,44 +234,43 @@ def _kernel(plan: tuple[_Step, ...]) -> Callable[..., tuple[int, ...] | None]:
     return namespace["kernel"]
 
 
-def _search(host: Graph, plan: tuple[_Step, ...], induced: bool) -> tuple[int, ...] | None:
-    p = len(plan)
+def _search(host: Graph, pattern: Pattern, induced: bool,
+            witness: bool = False) -> tuple[int, ...] | None:
+    # the kernel first: a pattern over MAX_PATTERN_ORDER raises whatever the host
+    kernel = _kernel(pattern, induced, witness)
+    p = pattern.graph.n
     if p > host.n:
         return None
-    return _kernel(plan)(host.adj, _bands(host, p, induced))
-
-
-def _embeds(G: Graph, P: Pattern, induced: bool) -> bool:
-    return _search(G, _plan(P, induced), induced) is not None
+    return kernel(host.adj, _bands(host, p, induced))
 
 
 def find_induced(G: Graph, P: Pattern) -> Embedding | None:
     """The lexicographically smallest induced embedding of P in G, or None."""
-    found = _search(G, _plan(P, True, True), True)
+    found = _search(G, P, True, True)
     return Embedding(found) if found is not None else None
 
 
 def contains_subgraph(G: Graph, P: Pattern) -> bool:
     """True iff a not-necessarily-induced embedding of P exists in G."""
-    return _embeds(G, P, False)
+    return _search(G, P, False) is not None
 
 
 def forbidden_free(G: Graph) -> tuple[bool, tuple[Pattern, Embedding] | None]:
-    """Check the ten-pattern family in order; return the first witness if any.
+    """Check the ten-pattern family in catalog order; return the first witness if any.
 
-    Each pattern is decided in constraint-first order; only for the first one
-    that embeds is the index-order search rerun, whose symmetry conditions
-    keep the lexicographically smallest embedding: that is the witness.
+    Each pattern gets one search, in index order, whose symmetry conditions
+    keep the lexicographically smallest embedding: the first pattern found
+    is both the verdict and the witness.
     """
     for pat in forbidden_catalog():
-        if _embeds(G, pat, True):
-            return False, (pat, find_induced(G, pat))
+        if (found := find_induced(G, pat)) is not None:
+            return False, (pat, found)
     return True, None
 
 
 def is_claw_free(G: Graph) -> bool:
-    return not _embeds(G, pattern_by_name("CLAW"), True)
+    return is_pattern_free(G, ("CLAW",))
 
 
 def is_pattern_free(G: Graph, names: tuple[str, ...]) -> bool:
-    return not any(_embeds(G, pattern_by_name(n), True) for n in names)
+    return not any(_search(G, pattern_by_name(n), True) is not None for n in names)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs
+from domiperf import patterns
 from domiperf.graph import GraphError, build_graph, complete_graph, cycle_graph, path_graph, star_graph
 from domiperf.graph_classes import corona_k1, line_graph
 from domiperf.patterns import (
@@ -70,6 +71,26 @@ def test_forbidden_free_self_witness():
         assert _is_induced_map(pat.graph, wpat, emb.mapping)
     free, witness = forbidden_free(build_graph(5, [(0, 1)]))
     assert free and witness is None
+
+
+@pytest.mark.parametrize("host, tried", [(path_graph(6), 8), (complete_graph(7), 10)],
+                         ids=["P6 is H8", "H-free"])
+def test_forbidden_free_searches_each_pattern_once(monkeypatch, host, tried):
+    # the theorem route's first hit is its verdict and its witness: one
+    # search, and one compiled kernel, per catalog graph it tries
+    searches = []
+    real = patterns._search
+
+    def counted(*args):
+        searches.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(patterns, "_search", counted)
+    patterns._kernel.cache_clear()
+    free, witness = forbidden_free(host)
+    assert free == (witness is None) == (tried == 10)
+    assert len(searches) == patterns._kernel.cache_info().currsize == tried
+    assert [pat.name for pat in searches] == list(FORBIDDEN_NAMES[:tried])
 
 
 def test_middle_of_k3_is_forbidden_free():
@@ -170,8 +191,8 @@ def _assert_witness_is_first_index_order_embedding(g):
 @given(graphs(max_n=9))
 @settings(max_examples=60, deadline=None)
 def test_decision_order_keeps_the_witness(g):
-    # the verdict comes from the constraint-first search; the witness must
-    # still be the index-order search's embedding of the first H that embeds
+    # the witness is the index-order search's embedding of the first H that
+    # embeds, and the verdict agrees with it
     _assert_witness_is_first_index_order_embedding(g)
 
 
@@ -304,9 +325,9 @@ def test_plans_of_patterns_outside_the_catalog(pattern_and_host):
     pg, host = pattern_and_host
     pat = Pattern("X", pg)
     first = _brute_first_induced(host, pat)
-    assert _search(host, _plan(pat, True, True), True) == first
-    assert (_search(host, _plan(pat, True), True) is not None) == (first is not None)
-    assert (_search(host, _plan(pat, False), False) is not None) == _brute_contains(host, pat)
+    assert _search(host, pat, True, True) == first
+    assert (_search(host, pat, True) is not None) == (first is not None)
+    assert (_search(host, pat, False) is not None) == _brute_contains(host, pat)
 
 
 def _naive_maps(host, pg, induced, order, first_image=None):
@@ -364,10 +385,10 @@ def test_degree_bands_keep_every_embedding(pat, data):
     first = next(_naive_maps(host, pat.graph, True, range(p)), None)
     if host.n <= 7:
         assert first == _brute_first_induced(host, pat)
-    assert _search(host, _plan(pat, True, True), True) == first
-    assert (_search(host, _plan(pat, True), True) is not None) == (first is not None)
+    assert _search(host, pat, True, True) == first
+    assert (_search(host, pat, True) is not None) == (first is not None)
     contained = next(_naive_maps(host, pat.graph, False, range(p)), None) is not None
-    assert (_search(host, _plan(pat, False), False) is not None) == contained
+    assert (_search(host, pat, False) is not None) == contained
 
 
 def test_induced_band_reaches_n_minus_p_above_the_degree():
@@ -390,9 +411,11 @@ def test_pattern_order_cap():
     emb = find_induced(host, Pattern("P20", path_graph(20)))
     assert emb is not None and emb.mapping == tuple(range(20))
     assert contains_subgraph(host, Pattern("P20", path_graph(20)))
+    # the cap holds whatever the host's order, also below the pattern's
     for search in (find_induced, contains_subgraph):
-        with pytest.raises(GraphError, match="MAX_PATTERN_ORDER"):
-            search(host, Pattern("P21", path_graph(21)))
+        for h in (host, path_graph(5)):
+            with pytest.raises(GraphError, match="MAX_PATTERN_ORDER"):
+                search(h, Pattern("P21", path_graph(21)))
 
 
 def test_induced_monotone_under_extra_vertices():
