@@ -111,8 +111,6 @@ class Graph:
 
     def diameter(self) -> int | float:
         """Largest pairwise distance; math.inf when disconnected, 0 for n <= 1."""
-        if self.n <= 1:
-            return 0
         if not self.is_connected():
             return math.inf
         best = 0

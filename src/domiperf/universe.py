@@ -1,20 +1,20 @@
 """Universes of non-isomorphic graphs and trees, one representative per class.
 
-Graphs grow by one step, ``_grow``: each representative of the previous order
-gets a new vertex joined to each allowed mask, a key decides each child, and
-each class keeps the first child the key accepted.  Trees need no key: the
-WROM walk over level sequences (``_free_tree_levels``) lists each class
-exactly once, and the trees keep its order.
+Graphs grow one order at a time by canonical augmentation (McKay 1998) in one
+step, ``_grow``: each class of the previous level gets a new vertex joined to
+each allowed mask, :func:`~domiperf.canon.canonical_augmentation` accepts or
+refuses each child, and each class keeps the first child accepted.  Trees
+need no such step: the WROM walk over level sequences (``_free_tree_levels``)
+lists each class exactly once, and the trees keep its order.
 
-Graphs grow by canonical augmentation, keyed by
-:func:`~domiperf.canon.canonical_augmentation`.  A parent joins one mask per
-orbit of its found automorphisms on vertex subsets, the least one, in
-ascending order: masks in one orbit give isomorphic children.  Each class
-keeps the automorphisms found when it was accepted, for the next order's
-masks, and a level lists its classes in ascending certificate order.  A
-parent's partial group only prunes fewer masks, and the level's dict keeps
-one child per class; the class counts (OEIS A000088) and the one-to-one
-match with networkx's atlas check that no class is lost.
+A parent joins one mask per orbit of its found automorphisms on vertex
+subsets, the least one, in ascending order: masks in one orbit give
+isomorphic children.  Each class keeps the automorphisms found when it was
+accepted, for the next order's masks, and a level lists its classes in
+ascending certificate order.  A parent's partial group only prunes fewer
+masks, and the level's dict keeps one child per class; the class counts
+(OEIS A000088) and the one-to-one match with networkx's atlas check that no
+class is lost.
 """
 
 from __future__ import annotations
@@ -27,24 +27,6 @@ from domiperf.graph import Graph, GraphError
 
 MAX_ENUM_ORDER = 8
 MAX_TREE_ORDER = 12
-
-
-def _grow(parents: Iterable[tuple[tuple[int, ...], Iterable[int]]], key: Callable) -> dict:
-    """Each class's first accepted child, with the entry the key kept for it.
-
-    Each parent is its rows and its masks; a parent of order k gets vertex k
-    joined to each mask.  ``key(child)`` returns the child's class and an
-    entry to keep, or None to refuse the child.
-    """
-    level: dict = {}
-    for rows, masks in parents:
-        k = len(rows)
-        for nbmask in masks:
-            child = tuple([rows[v] | (nbmask >> v & 1) << k for v in range(k)] + [nbmask])
-            decided = key(child)
-            if decided is not None:
-                level.setdefault(decided[0], (child, decided[1]))
-    return level
 
 
 def _orbit_representatives(n: int, generators: list[list[int]]) -> Iterable[int]:
@@ -78,19 +60,34 @@ def _orbit_representatives(n: int, generators: list[list[int]]) -> Iterable[int]
     return least
 
 
+def _grow(level: list[tuple[Graph, list[list[int]]]]) -> list[tuple[Graph, list[list[int]]]]:
+    """The next level: each class's first accepted child, with its found automorphisms.
+
+    A parent of order k gets vertex k joined to each mask that
+    ``_orbit_representatives`` gives for its automorphisms, and
+    ``canonical_augmentation`` accepts or refuses each child.
+    """
+    found: dict = {}
+    for G, gens in level:
+        rows, k = G.adj, G.n
+        for nbmask in _orbit_representatives(k, gens):
+            child = tuple([rows[v] | (nbmask >> v & 1) << k for v in range(k)] + [nbmask])
+            decided = canonical_augmentation(child)
+            if decided is not None:
+                found.setdefault(decided[0], (child, decided[1]))
+    classes = [found[cert] for cert in sorted(found)]
+    del found  # free the certificates, then build the graphs in place: a lower peak
+    for i, (rows, gens) in enumerate(classes):
+        classes[i] = Graph(len(rows), rows), gens
+    return classes
+
+
 @cache
 def _graph_level(order: int) -> list[tuple[Graph, list[list[int]]]]:
     """Each class and its found automorphisms, in ascending certificate order."""
     if order == 1:
         return [(Graph(1, (0,)), [])]
-    parents = _graph_level(order - 1)
-    level = _grow(((G.adj, _orbit_representatives(order - 1, gens)) for G, gens in parents),
-                  canonical_augmentation)
-    classes = [level[cert] for cert in sorted(level)]
-    del level  # free the certificates, then build the graphs in place: a lower peak
-    for i, (rows, gens) in enumerate(classes):
-        classes[i] = Graph(order, rows), gens
-    return classes
+    return _grow(_graph_level(order - 1))
 
 
 def _next_rooted(levels: list[int], p: int) -> list[int] | None:

@@ -93,6 +93,7 @@ def test_diameter():
     assert spider.diameter() == 4
     assert build_graph(2, []).diameter() == math.inf
     assert build_graph(1, []).diameter() == 0
+    assert build_graph(0, []).diameter() == 0
 
 
 def test_is_independent():
